@@ -1,8 +1,32 @@
-// hipcloud_flow analyses.
+// hipcloud_flow analyses — the rule catalogue.
 //
-// Five flow-aware checks over preprocessed translation units. Rule names
-// all carry the `flow-` prefix so `hipcheck:allow(...)` pragmas can never
-// collide with the PR 4 token linter's rules:
+// Per-file lint family (lint.cpp). Token patterns over one physical
+// file's raw text, run once per file — never over the preprocessed TU
+// stream, because each rule is defined per file ("declared in the same
+// file") and path-scoped:
+//
+//   wall-clock      std::chrono::*_clock / time(nullptr) / std::rand /
+//                   std::random_device outside src/sim/ (src/sim/shard.*
+//                   gets no exemption: it runs on real worker threads) —
+//                   real time leaking into simulated time makes runs
+//                   irreproducible
+//   unordered-iter  range-for over a std::unordered_{map,set} declared in
+//                   the same file — hash-table iteration order is
+//                   implementation-defined
+//   raw-alloc       raw new/delete on the packet path (src/net, src/hip,
+//                   src/apps; every path in self-test mode) — the pooled
+//                   datapath keeps per-packet heap traffic off the loop
+//   self-capture    `x->on_foo([x]{...})`: a shared_ptr capturing itself
+//                   by value in a callback it installs on itself — a
+//                   reference cycle (leak)
+//   eager-log       raw sim::Log::write() outside src/sim/log.* — the
+//                   message is built even when the level filter drops it;
+//                   HIPCLOUD_LOG evaluates it lazily
+//
+// Flow-aware per-TU rules over preprocessed translation units
+// (analysis.cpp); the interprocedural flow-shard-* and flow-wire-* rules
+// are catalogued in ownership.hpp and taint.hpp. Both families share one
+// `hipcheck:allow(<rule>): <why>` grammar and one pragma scanner:
 //
 //   flow-layering        include edge violates the layer DAG
 //                        sim < crypto < net < {hip,tls} < apps < cloud < core
@@ -66,8 +90,10 @@ struct Finding {
 
 struct AnalysisOptions {
   // In tree mode the taint/ct-compare family is scoped to src/ (tests
-  // legitimately compare derived keys with EXPECT_EQ); self-test mode
-  // turns every rule on for every fixture path.
+  // legitimately compare derived keys with EXPECT_EQ) and raw-alloc to
+  // the packet path; self-test mode lifts those scopes for every fixture
+  // path. The wall-clock and eager-log carve-outs (src/sim/,
+  // src/sim/log.*) are part of those rules and stay on.
   bool all_paths = false;
   // Lines (per physical file) carrying a `hipcheck:hot` marker; a
   // function whose name line is within 3 lines below a marker is hot.
@@ -84,5 +110,13 @@ struct AnalysisOptions {
 /// TUs) and sorts for deterministic output.
 void analyze_tu(const TranslationUnit& tu, const FileTable& files,
                 const AnalysisOptions& opts, std::vector<Finding>& out);
+
+/// Run the per-file lint family over `tokens`, the `lex` of physical file
+/// `rel`'s raw text (`rel` is root-relative: the rules are path-scoped).
+/// `all_paths` lifts raw-alloc's packet-path scope, as in self-test mode.
+/// The driver calls this once per file and does not dedupe the result:
+/// two hits on one line are two findings, each needing its own allow.
+void analyze_file(const std::string& rel, const std::vector<Token>& tokens,
+                  bool all_paths, std::vector<Finding>& out);
 
 }  // namespace hipflow

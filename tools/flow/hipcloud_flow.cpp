@@ -1,12 +1,15 @@
-// hipcloud_flow — flow-aware static analyzer for the hipcloud tree.
+// hipcloud_flow — the hipcloud tree's static analyzer (hipcheck).
 //
-// Where PR 4's hipcloud_lint matches token patterns inside single files,
-// this tool preprocesses whole translation units (include resolution,
-// object-like macro expansion, include graph) and runs five structural
-// analyses over them: the layering DAG, secret-taint to log/JSON sinks,
-// pooled-Buffer lifetime across EventLoop suspension points, hot-path
-// allocation, and exception flow out of event callbacks. See
-// analysis.hpp for the rule catalogue and DESIGN.md §5f for the policy.
+// Two rule families share one lexer, one pragma scanner and one fixture
+// runner. The per-file lint family matches token patterns inside each
+// physical file (wall-clock, unordered-iter, raw-alloc, self-capture,
+// eager-log; DESIGN.md §5e). The flow-aware families preprocess whole
+// translation units (include resolution, object-like macro expansion,
+// include graph) and check the layering DAG, secret-taint to log/JSON
+// sinks, pooled-Buffer lifetime across EventLoop suspension points,
+// hot-path allocation, exception flow out of event callbacks, and the
+// whole-program shard-ownership and wire-taint rules (DESIGN.md §5f,
+// §5j, §5k). See analysis.hpp for the rule catalogue.
 //
 //   hipcloud_flow --root DIR [--compdb FILE] [--jobs N] [dirs...]
 //   hipcloud_flow --self-test FIXTURE_DIR
@@ -19,10 +22,11 @@
 // the justified baseline file, and prints what survives sorted by
 // (file, line, rule) — byte-identical output at any job count.
 //
-// Suppression discipline (same as hipcheck):
-//   * `// hipcheck:allow(flow-x): why` on the finding's line or the line
-//     above suppresses exactly one finding; an allow that suppresses
-//     nothing is itself an error.
+// Suppression discipline:
+//   * `// hipcheck:allow(<rule>): why` on the finding's line or the line
+//     above suppresses exactly one finding of either family; the
+//     justification is mandatory, and an allow that suppresses nothing
+//     is itself an error.
 //   * tools/flow/baseline.flow carries pre-existing debt as
 //     `<rule> <file> <count> : <justification>` quotas; a quota that is
 //     no longer fully consumed is an error, so the baseline only ratchets
@@ -30,11 +34,11 @@
 //   * `// hipcheck:hot` above a function definition puts it (and its
 //     same-TU callees, transitively) in the hot-path allocation set.
 //
-// Self-test mode mirrors the linter's: every fixture annotates expected
-// findings with `// hipcheck:expect(<rule>)`; the run fails on any
-// mismatch in either direction. Fixture subdirectories containing a
-// `src/` are analyzed as miniature trees (layer rules live), everything
-// else file-by-file.
+// Self-test mode: every fixture annotates expected findings with
+// `// hipcheck:expect(<rule>)`; the run fails on any mismatch in either
+// direction. Fixture subdirectories containing a `src/` are analyzed as
+// miniature trees (layer rules and path-scoped lint rules live),
+// everything else file-by-file.
 
 #include <algorithm>
 #include <cctype>
@@ -131,9 +135,11 @@ std::string declarator_name(const std::string& raw) {
   return nm;
 }
 
-void scan_file_pragmas(const std::string& rel, const std::string& src,
+/// Scan one physical file's pragmas into `px`; false (and nothing
+/// scanned) when `px` has already seen the file.
+bool scan_file_pragmas(const std::string& rel, const std::string& src,
                        PragmaIndex& px) {
-  if (!px.scanned.insert(rel).second) return;
+  if (!px.scanned.insert(rel).second) return false;
   std::vector<std::string> lines;
   {
     std::istringstream in(src);
@@ -194,9 +200,6 @@ void scan_file_pragmas(const std::string& rel, const std::string& src,
         continue;
       }
       const std::string rule = raw.substr(open, close - open);
-      // Rules without the flow- prefix belong to hipcloud_lint; ignore
-      // them so both tools can annotate the same file.
-      if (rule.rfind("flow-", 0) != 0) continue;
       if (kind == std::string("expect")) {
         px.expects.push_back({rel, line, rule});
         continue;
@@ -224,6 +227,7 @@ void scan_file_pragmas(const std::string& rel, const std::string& src,
       px.allows.push_back({rel, line, rule});
     }
   }
+  return true;
 }
 
 // --------------------------------------------------------------------------
@@ -345,10 +349,13 @@ struct RunResult {
   WireTaint taint;  // resolved wire-taint map (for --dump-wire)
 };
 
+/// `pragmas` carries an earlier round's index (run_tree's orphan-header
+/// round): files it already scanned keep their marks but are neither
+/// rescanned nor linted again, so no allow is counted twice.
 RunResult analyze_paths(const std::string& root,
                         const std::vector<std::string>& include_dirs,
                         const std::vector<std::string>& tus, int jobs,
-                        bool all_paths) {
+                        bool all_paths, PragmaIndex pragmas = {}) {
   FileTable files;
   Preprocessor pp(root, include_dirs, &files);
 
@@ -357,6 +364,7 @@ RunResult analyze_paths(const std::string& root,
   // known before analysis, so preprocess include closure discovery and
   // pragma scanning happen here; token analysis is the parallel part.
   RunResult rr;
+  rr.pragmas = std::move(pragmas);
   std::vector<TranslationUnit> units(tus.size());
   std::mutex mu;
   std::size_t next = 0;
@@ -379,17 +387,22 @@ RunResult analyze_paths(const std::string& root,
     for (std::thread& th : pool) th.join();
   }
 
-  // Pragma scan over the union of physical files (deterministic order).
+  // Pragma scan and the per-file lint family over the union of physical
+  // files (deterministic order), each lexed once from its raw text.
   std::set<std::string> physical;
   for (const TranslationUnit& tu : units) {
     for (FileId f : tu.files) physical.insert(files.path(f));
   }
+  std::vector<Finding> per_file;
   for (const std::string& rel : physical) {
     std::string src;
     const fs::path abs = fs::path(rel).is_absolute()
                              ? fs::path(rel)
                              : fs::path(root) / rel;
-    if (read_file(abs.string(), src)) scan_file_pragmas(rel, src, rr.pragmas);
+    if (read_file(abs.string(), src) &&
+        scan_file_pragmas(rel, src, rr.pragmas)) {
+      analyze_file(rel, lex(src, files.intern(rel), 1), all_paths, per_file);
+    }
   }
 
   // Pass 2: analyses + call-graph extraction (parallel over TUs, merged
@@ -431,8 +444,12 @@ RunResult analyze_paths(const std::string& root,
   analyze_ownership(rr.cg, all_paths, all);
   rr.taint = analyze_wire(units, files, rr.pragmas.marks, all_paths, all);
 
+  // Headers reach the TU rules once per including TU, so those findings
+  // are deduped; the lint family saw each file once, so it joins after.
   std::sort(all.begin(), all.end());
   all.erase(std::unique(all.begin(), all.end()), all.end());
+  all.insert(all.end(), per_file.begin(), per_file.end());
+  std::sort(all.begin(), all.end());
   rr.findings = std::move(all);
   return rr;
 }
@@ -526,18 +543,18 @@ int run_tree(const std::string& root, const std::vector<std::string>& dirs,
   }
   if (!orphan_headers.empty()) {
     RunResult extra = analyze_paths(root, {root + "/src", root},
-                                    orphan_headers, jobs, false);
-    rr.findings.insert(rr.findings.end(), extra.findings.begin(),
-                       extra.findings.end());
-    rr.pragmas.allows.insert(rr.pragmas.allows.end(),
-                             extra.pragmas.allows.begin(),
-                             extra.pragmas.allows.end());
-    rr.pragmas.errors.insert(rr.pragmas.errors.end(),
-                             extra.pragmas.errors.begin(),
-                             extra.pragmas.errors.end());
+                                    orphan_headers, jobs, false,
+                                    std::move(rr.pragmas));
+    // Headers the first round already analyzed repeat its findings.
+    const std::size_t first = rr.findings.size();
+    for (const Finding& f : extra.findings) {
+      if (!std::binary_search(rr.findings.begin(),
+                              rr.findings.begin() + first, f)) {
+        rr.findings.push_back(f);
+      }
+    }
     std::sort(rr.findings.begin(), rr.findings.end());
-    rr.findings.erase(std::unique(rr.findings.begin(), rr.findings.end()),
-                      rr.findings.end());
+    rr.pragmas = std::move(extra.pragmas);
   }
 
   std::vector<Finding> remaining = apply_allows(rr.findings, rr.pragmas);

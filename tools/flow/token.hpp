@@ -1,9 +1,10 @@
-// hipcloud_flow token model — the PR 4 hipcheck tokenizer, extended with
-// file attribution so tokens survive preprocessing. A translation unit's
+// hipcloud_flow token model — the analyzer's one tokenizer, with file
+// attribution so tokens survive preprocessing. A translation unit's
 // token stream interleaves tokens from the .cpp and from every project
 // header it pulls in; each token remembers the physical file and line it
 // came from, which is where findings (and their hipcheck:allow pragmas)
-// are reported.
+// are reported. The per-file lint rules lex each physical file's raw
+// text with the same function.
 #pragma once
 
 #include <cstdint>
@@ -25,9 +26,9 @@ struct Token {
 /// Lex one physical file's source into tokens. Comments, string/char
 /// literals and raw strings are stripped (their line counts preserved);
 /// `::` and `->` fold into single tokens so rule patterns can tell scope
-/// resolution from a plain colon. Preprocessor directive lines are NOT
-/// lexed here — the preprocessor consumes them line-wise first and only
-/// hands non-directive text to the lexer.
+/// resolution from a plain colon. The preprocessor consumes directive
+/// lines itself and only hands non-directive text to the lexer; the
+/// per-file lint pass lexes whole files, directives included.
 std::vector<Token> lex(const std::string& src, FileId file, int first_line);
 
 }  // namespace hipflow

@@ -1,6 +1,6 @@
 // hipcloud_flow translation-unit model.
 //
-// The preprocessor is the part PR 4's linter deliberately lacked: it
+// The preprocessor is what the per-file lint rules do without: it
 // resolves `#include "..."` against the project include directories,
 // inlines each project header once per TU (tracking the include stack, so
 // textual include cycles are caught even though `#pragma once` would mask
