@@ -9,6 +9,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <thread>
 #include <vector>
 
 #include "core/testbed.hpp"
@@ -53,6 +54,8 @@ inline void write_fig2_json(const Fig2Report& r, const char* path,
   std::fprintf(f, "  \"title\": \"%s\",\n", title);
   std::fprintf(f, "  \"wall_clock_seconds\": %.3f,\n", r.wall_seconds);
   std::fprintf(f, "  \"sweep_threads\": %u,\n", r.threads);
+  std::fprintf(f, "  \"host_cpus\": %u,\n",
+               std::thread::hardware_concurrency());
   std::fprintf(f, "  \"rows\": [\n");
   for (std::size_t i = 0; i < r.rows.size(); ++i) {
     const auto& row = r.rows[i];

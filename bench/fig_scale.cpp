@@ -92,6 +92,27 @@ void fill_coordinator_stats(cloud::ShardedFabric& fabric, RunStats& s) {
       1e6;
 }
 
+/// Per-shard event counts and the work/span bound for `workers` workers:
+/// total events over the busiest worker's events under the coordinator's
+/// round-robin shard ownership (shard s -> worker s%w).
+void fill_workspan(cloud::ShardedFabric& fabric, unsigned workers,
+                   RunStats& s) {
+  for (std::size_t sh = 0; sh < kRacks; ++sh) {
+    s.shard_events.push_back(fabric.world().shard(sh).perf().events_fired);
+  }
+  const unsigned span_workers = workers == 0 ? 1 : workers;
+  std::vector<std::uint64_t> per_worker(span_workers, 0);
+  for (std::size_t sh = 0; sh < s.shard_events.size(); ++sh) {
+    per_worker[sh % span_workers] += s.shard_events[sh];
+  }
+  std::uint64_t span = 0;
+  for (const std::uint64_t w : per_worker) span = std::max(span, w);
+  s.workspan_speedup =
+      span == 0 ? 1.0
+                : static_cast<double>(s.events_fired) /
+                      static_cast<double>(span);
+}
+
 /// Build the fixed fabric, pre-schedule `clients` cross-rack UDP probes
 /// (round-robin over the 32 VMs, fixed per-VM period, each probe aimed at
 /// the same-slot VM of a cycling peer rack) and run to completion on
@@ -154,22 +175,7 @@ RunStats run_scale_point(std::size_t clients, unsigned workers) {
   s.workers_planned = planned;
   s.wall_seconds = wall;
   fill_coordinator_stats(fabric, s);
-  for (std::size_t sh = 0; sh < kRacks; ++sh) {
-    s.shard_events.push_back(fabric.world().shard(sh).perf().events_fired);
-  }
-  // Work/span bound: total events over the busiest worker's events under
-  // the coordinator's round-robin shard ownership (shard s -> worker s%w).
-  const unsigned span_workers = planned == 0 ? 1 : planned;
-  std::vector<std::uint64_t> per_worker(span_workers, 0);
-  for (std::size_t sh = 0; sh < s.shard_events.size(); ++sh) {
-    per_worker[sh % span_workers] += s.shard_events[sh];
-  }
-  std::uint64_t span = 0;
-  for (const std::uint64_t w : per_worker) span = std::max(span, w);
-  s.workspan_speedup =
-      span == 0 ? 1.0
-                : static_cast<double>(s.events_fired) /
-                      static_cast<double>(span);
+  fill_workspan(fabric, planned, s);
   return s;
 }
 
@@ -282,6 +288,7 @@ RubisStats run_rubis_point(int farm_users, unsigned workers,
   rs.run.workers_planned = workers;
   rs.run.wall_seconds = wall;
   fill_coordinator_stats(fabric, rs.run);
+  fill_workspan(fabric, workers, rs.run);
   const auto report = service.report();
   rs.completed = report.completed;
   rs.errors = report.errors;

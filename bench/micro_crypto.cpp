@@ -251,6 +251,44 @@ void BM_RsaVerify(benchmark::State& state) {
 }
 BENCHMARK(BM_RsaVerify)->Arg(1024)->Arg(2048)->Unit(benchmark::kMicrosecond);
 
+// One iteration generates the ten seed-1 keys a Fig. 2 world builds (five
+// HIP host identities, the SSL arm's CA, DB and three web keys), so the
+// mean covers their spread of prime-search lengths; `keys/s` is per key.
+void BM_RsaKeygen(benchmark::State& state) {
+  const char* const kLabels[] = {"hi:lb",    "hi:web0",  "hi:web1",
+                                 "hi:web2",  "hi:db",    "ca",
+                                 "db-key",   "web-key0", "web-key1",
+                                 "web-key2"};
+  const auto bits = static_cast<std::size_t>(state.range(0));
+  for (auto _ : state) {
+    for (const char* label : kLabels) {
+      crypto::HmacDrbg drbg(1, label);
+      benchmark::DoNotOptimize(crypto::rsa_generate(drbg, bits));
+    }
+  }
+  state.counters["keys"] = benchmark::Counter(
+      std::size(kLabels), benchmark::Counter::kIsIterationInvariantRate);
+}
+BENCHMARK(BM_RsaKeygen)->Arg(1024)->Unit(benchmark::kMillisecond);
+
+// Full-width exponent modulo an odd modulus: 512 bits is a Miller-Rabin
+// round during 1024-bit keygen (and a CRT half of an RSA-1024 signature),
+// 1536 bits the RFC 3526 group 5 prime of the BEX Diffie-Hellman.
+void BM_ModExp(benchmark::State& state) {
+  const auto bits = static_cast<std::size_t>(state.range(0));
+  crypto::HmacDrbg drbg(1, "bench-modexp");
+  crypto::BigInt m = bits == 1536
+                          ? crypto::dh_params(crypto::DhGroup::kModp1536).p
+                          : crypto::BigInt::random_bits(drbg, bits);
+  m.set_bit(0);
+  const crypto::BigInt base = crypto::BigInt::random_below(drbg, m);
+  const crypto::BigInt exp = crypto::BigInt::random_bits(drbg, bits);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(base.mod_exp(exp, m));
+  }
+}
+BENCHMARK(BM_ModExp)->Arg(512)->Arg(1536)->Unit(benchmark::kMicrosecond);
+
 void BM_EcdsaSign(benchmark::State& state) {
   crypto::HmacDrbg drbg(1, "bench");
   const auto key = crypto::p256::generate(drbg);

@@ -278,47 +278,164 @@ std::pair<BigInt, BigInt> BigInt::divmod(const BigInt& divisor) const {
   return {q, r};
 }
 
-// Montgomery multiplication: returns a*b*R^-1 mod m where R = 2^(32n).
-// `m_inv` satisfies m[0] * m_inv == -1 mod 2^32.
-BigInt BigInt::mont_mul(const BigInt& a, const BigInt& b, const BigInt& m,
-                        std::uint32_t m_inv, std::size_t n) {
-  std::vector<std::uint32_t> t(n + 2, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t ai = i < a.limbs_.size() ? a.limbs_[i] : 0;
-    // t += ai * b
-    std::uint64_t carry = 0;
-    for (std::size_t j = 0; j < n; ++j) {
-      const std::uint64_t bj = j < b.limbs_.size() ? b.limbs_[j] : 0;
-      const std::uint64_t v = ai * bj + t[j] + carry;
-      t[j] = static_cast<std::uint32_t>(v);
-      carry = v >> 32;
-    }
-    std::uint64_t v = static_cast<std::uint64_t>(t[n]) + carry;
-    t[n] = static_cast<std::uint32_t>(v);
-    t[n + 1] += static_cast<std::uint32_t>(v >> 32);
+namespace {
 
-    // u = t[0] * m_inv mod 2^32;  t += u * m; then shift right one limb.
-    const std::uint32_t u = t[0] * m_inv;
-    carry = 0;
-    for (std::size_t j = 0; j < n; ++j) {
-      const std::uint64_t w =
-          static_cast<std::uint64_t>(u) * m.limbs_[j] + t[j] + carry;
-      t[j] = static_cast<std::uint32_t>(w);
-      carry = w >> 32;
-    }
-    v = static_cast<std::uint64_t>(t[n]) + carry;
-    t[n] = static_cast<std::uint32_t>(v);
-    t[n + 1] += static_cast<std::uint32_t>(v >> 32);
-    // Shift down by one limb (divide by 2^32); t[0] is zero by construction.
-    for (std::size_t j = 0; j < n + 1; ++j) t[j] = t[j + 1];
-    t[n + 1] = 0;
+using Limb = std::uint64_t;
+using Wide = unsigned __int128;
+
+// Montgomery arithmetic modulo one odd m > 1 in 64-bit limbs, R = 2^(64n).
+// Everything that depends only on m (the limbs, m_inv, R mod m, R^2 mod m)
+// is computed once here, and products go through preallocated scratch, so
+// a caller that works modulo one m many times (mod_exp's window loop, all
+// Miller-Rabin rounds on one candidate) builds one context and reuses it.
+// Values in Montgomery form are n limbs, fully reduced (< m), so equal
+// residues have equal limbs.
+class Montgomery {
+ public:
+  explicit Montgomery(const std::vector<std::uint32_t>& m)
+      : m_(pack(m, (m.size() + 1) / 2)),
+        t_(m_.size() + 1),
+        table_(16 * m_.size()) {
+    const std::size_t n = m_.size();
+    // m_inv = -m^-1 mod 2^64 by Newton iteration: m0 is its own inverse
+    // mod 8, and each step doubles the number of correct low bits.
+    Limb inv = m_[0];
+    for (int i = 0; i < 5; ++i) inv *= 2 - m_[0] * inv;
+    m_inv_ = 0 - inv;
+    // R mod m: double the top bit of m up to 2^(64n).
+    std::size_t bits = 64 * n;
+    while (!(m_[n - 1] >> ((bits - 1) % 64))) --bits;
+    one_.assign(n, 0);
+    one_[(bits - 1) / 64] = Limb{1} << ((bits - 1) % 64);
+    for (std::size_t k = bits - 1; k < 64 * n; ++k) double_mod(one_.data());
+    // R^2 mod m: 2^n * R mod m is the Montgomery form of 2^n; six
+    // Montgomery squarings raise it to 2^(64n) = R, whose form is R^2.
+    r2_ = one_;
+    for (std::size_t k = 0; k < n; ++k) double_mod(r2_.data());
+    for (int k = 0; k < 6; ++k) mul(r2_.data(), r2_.data(), r2_.data());
   }
-  BigInt out;
-  out.limbs_.assign(t.begin(), t.begin() + static_cast<long>(n + 1));
-  out.trim();
-  if (out >= m) out = out - m;
-  return out;
-}
+
+  /// 1 and m - 1 in Montgomery form.
+  const std::vector<Limb>& one() const { return one_; }
+  std::vector<Limb> minus_one() const {
+    std::vector<Limb> out(m_);
+    sub_in_place(out.data(), one_.data(), m_.size());
+    return out;
+  }
+
+  /// out = a * b / R mod m (CIOS). a, b < m; out may alias either.
+  void mul(const Limb* a, const Limb* b, Limb* out) {
+    const std::size_t n = m_.size();
+    Limb* t = t_.data();
+    std::fill(t_.begin(), t_.end(), 0);
+    for (std::size_t i = 0; i < n; ++i) {
+      // t = (t + a * b[i] + q * m) / 2^64 in one pass, with q chosen so
+      // the low limb cancels.
+      const Limb bi = b[i];
+      Wide p = static_cast<Wide>(a[0]) * bi + t[0];
+      const Limb q = static_cast<Limb>(p) * m_inv_;
+      Wide r = static_cast<Wide>(q) * m_[0] + static_cast<Limb>(p);
+      for (std::size_t j = 1; j < n; ++j) {
+        p = static_cast<Wide>(a[j]) * bi + t[j] + static_cast<Limb>(p >> 64);
+        r = static_cast<Wide>(q) * m_[j] + static_cast<Limb>(p) +
+            static_cast<Limb>(r >> 64);
+        t[j - 1] = static_cast<Limb>(r);
+      }
+      const Wide top = static_cast<Wide>(t[n]) + static_cast<Limb>(p >> 64) +
+                       static_cast<Limb>(r >> 64);
+      t[n - 1] = static_cast<Limb>(top);
+      t[n] = static_cast<Limb>(top >> 64);
+    }
+    // t < 2m here.
+    if (t[n] || !less_than_m(t)) sub_in_place(t, m_.data(), n);
+    std::copy(t, t + n, out);
+  }
+
+  /// Montgomery form of x, where x (32-bit limbs) is below m.
+  std::vector<Limb> to_mont(const std::vector<std::uint32_t>& x) {
+    std::vector<Limb> out = pack(x, m_.size());
+    mul(out.data(), r2_.data(), out.data());
+    return out;
+  }
+
+  /// The plain value of a (Montgomery form) as 32-bit limbs, untrimmed.
+  std::vector<std::uint32_t> from_mont(const Limb* a) {
+    std::vector<Limb> unit(m_.size(), 0);
+    unit[0] = 1;
+    mul(a, unit.data(), unit.data());
+    std::vector<std::uint32_t> out;
+    for (Limb limb : unit) {
+      out.push_back(static_cast<std::uint32_t>(limb));
+      out.push_back(static_cast<std::uint32_t>(limb >> 32));
+    }
+    return out;
+  }
+
+  /// x = x^e, Montgomery form in and out, with a fixed 4-bit window.
+  void pow(std::vector<Limb>& x, const BigInt& e) {
+    const std::size_t n = m_.size();
+    std::copy(one_.begin(), one_.end(), table_.begin());
+    std::copy(x.begin(), x.end(), table_.begin() + static_cast<long>(n));
+    for (std::size_t i = 2; i < 16; ++i) {
+      mul(&table_[(i - 1) * n], x.data(), &table_[i * n]);
+    }
+    std::copy(one_.begin(), one_.end(), x.begin());
+    for (std::size_t w = (e.bit_length() + 3) / 4; w-- > 0;) {
+      for (int k = 0; k < 4; ++k) mul(x.data(), x.data(), x.data());
+      std::size_t digit = 0;
+      for (std::size_t k = 4; k-- > 0;) digit = 2 * digit + e.bit(4 * w + k);
+      if (digit) mul(x.data(), &table_[digit * n], x.data());
+    }
+  }
+
+ private:
+  static std::vector<Limb> pack(const std::vector<std::uint32_t>& x,
+                                std::size_t n) {
+    std::vector<Limb> out(n, 0);
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      out[i / 2] |= static_cast<Limb>(x[i]) << (32 * (i % 2));
+    }
+    return out;
+  }
+
+  // x -= y over n limbs, modulo 2^(64n).
+  static void sub_in_place(Limb* x, const Limb* y, std::size_t n) {
+    Limb borrow = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const Limb d = x[i] - y[i];
+      const Limb out = d - borrow;
+      borrow = (x[i] < y[i]) | (d < borrow);
+      x[i] = out;
+    }
+  }
+
+  bool less_than_m(const Limb* x) const {
+    for (std::size_t i = m_.size(); i-- > 0;) {
+      if (x[i] != m_[i]) return x[i] < m_[i];
+    }
+    return false;
+  }
+
+  // x = 2x mod m, for x < m.
+  void double_mod(Limb* x) const {
+    Limb carry = 0;
+    for (std::size_t i = 0; i < m_.size(); ++i) {
+      const Limb top = x[i] >> 63;
+      x[i] = (x[i] << 1) | carry;
+      carry = top;
+    }
+    if (carry || !less_than_m(x)) sub_in_place(x, m_.data(), m_.size());
+  }
+
+  std::vector<Limb> m_;
+  Limb m_inv_ = 0;  // -m^-1 mod 2^64
+  std::vector<Limb> one_;    // R mod m
+  std::vector<Limb> r2_;     // R^2 mod m
+  std::vector<Limb> t_;      // mul scratch, n + 1 limbs
+  std::vector<Limb> table_;  // pow's window table, 16 entries of n limbs
+};
+
+}  // namespace
 
 BigInt BigInt::mod_exp(const BigInt& exp, const BigInt& m) const {
   if (m.is_zero()) throw std::domain_error("mod_exp: zero modulus");
@@ -327,26 +444,13 @@ BigInt BigInt::mod_exp(const BigInt& exp, const BigInt& m) const {
   if (exp.is_zero()) return BigInt(1);
 
   if (m.is_odd()) {
-    // Montgomery exponentiation.
-    const std::size_t n = m.limbs_.size();
-    // m_inv = -m^-1 mod 2^32 via Newton iteration.
-    std::uint32_t inv = 1;
-    for (int i = 0; i < 5; ++i) inv *= 2 - m.limbs_[0] * inv;
-    const std::uint32_t m_inv = ~inv + 1;  // -inv
-
-    // R mod m and R^2 mod m where R = 2^(32n).
-    BigInt r = BigInt(1) << (32 * n);
-    const BigInt r_mod = r % m;
-    const BigInt r2 = (r_mod * r_mod) % m;
-
-    BigInt x = mont_mul(base, r2, m, m_inv, n);  // base in Montgomery form
-    BigInt acc = r_mod;                          // 1 in Montgomery form
-    const std::size_t bits = exp.bit_length();
-    for (std::size_t i = bits; i-- > 0;) {
-      acc = mont_mul(acc, acc, m, m_inv, n);
-      if (exp.bit(i)) acc = mont_mul(acc, x, m, m_inv, n);
-    }
-    return mont_mul(acc, BigInt(1), m, m_inv, n);
+    Montgomery mont(m.limbs_);
+    std::vector<Limb> x = mont.to_mont(base.limbs_);
+    mont.pow(x, exp);
+    BigInt out;
+    out.limbs_ = mont.from_mont(x.data());
+    out.trim();
+    return out;
   }
 
   // Even modulus: plain square-and-multiply with divmod (rare path; only
@@ -442,8 +546,11 @@ constexpr std::uint32_t kSmallPrimes[] = {
 bool BigInt::is_probable_prime(const BigInt& n, HmacDrbg& drbg, int rounds) {
   if (n < BigInt(2)) return false;
   for (std::uint32_t p : kSmallPrimes) {
-    if (n == BigInt(p)) return true;
-    if ((n % BigInt(p)).is_zero()) return false;
+    std::uint64_t rem = 0;
+    for (std::size_t i = n.limbs_.size(); i-- > 0;) {
+      rem = ((rem << 32) | n.limbs_[i]) % p;
+    }
+    if (rem == 0) return n.limbs_.size() == 1 && n.limbs_[0] == p;
   }
   // Write n-1 = d * 2^s.
   const BigInt n_minus_1 = n - BigInt(1);
@@ -453,15 +560,20 @@ bool BigInt::is_probable_prime(const BigInt& n, HmacDrbg& drbg, int rounds) {
     d = d >> 1;
     ++s;
   }
+  // Bases are 2 + [0, n-4): the same DRBG draws as ever, so keys and the
+  // DRBG state after keygen do not depend on how the rounds are computed.
+  const BigInt base_range = n - BigInt(4);
+  Montgomery mont(n.limbs_);
+  const std::vector<Limb> minus_one = mont.minus_one();
   for (int round = 0; round < rounds; ++round) {
-    const BigInt a =
-        BigInt(2) + random_below(drbg, n - BigInt(4));
-    BigInt x = a.mod_exp(d, n);
-    if (x == BigInt(1) || x == n_minus_1) continue;
+    const BigInt a = BigInt(2) + random_below(drbg, base_range);
+    std::vector<Limb> x = mont.to_mont(a.limbs_);
+    mont.pow(x, d);
+    if (x == mont.one() || x == minus_one) continue;
     bool witness = true;
     for (std::size_t i = 0; i + 1 < s; ++i) {
-      x = x.mod_exp(BigInt(2), n);
-      if (x == n_minus_1) {
+      mont.mul(x.data(), x.data(), x.data());
+      if (x == minus_one) {
         witness = false;
         break;
       }

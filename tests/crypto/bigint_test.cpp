@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "crypto/dh.hpp"
 #include "crypto/drbg.hpp"
 
 namespace hipcloud::crypto {
@@ -116,6 +117,69 @@ TEST(BigInt, ModExpMatchesNaive) {
   }
 }
 
+// Left-to-right square-and-multiply with a divmod after every product: the
+// independent oracle for the Montgomery path (it never touches it).
+BigInt mod_exp_oracle(const BigInt& base, const BigInt& exp, const BigInt& m) {
+  const BigInt b = base % m;
+  BigInt acc = BigInt(1) % m;
+  for (std::size_t i = exp.bit_length(); i-- > 0;) {
+    acc = (acc * acc) % m;
+    if (exp.bit(i)) acc = (acc * b) % m;
+  }
+  return acc;
+}
+
+// 2^bits - 1.
+BigInt all_ones(std::size_t bits) { return (BigInt(1) << bits) - BigInt(1); }
+
+void expect_mod_exp_matches_oracle(const BigInt& m, HmacDrbg& drbg) {
+  const std::size_t bits = m.bit_length();
+  // Alternate a base below m with one wider than m, so that the initial
+  // reduction runs too.
+  const BigInt base = bits % 2 ? BigInt::random_below(drbg, m)
+                               : BigInt::random_bits(drbg, 2 * bits + 3);
+  const BigInt exps[] = {BigInt(), BigInt(1), all_ones(bits),
+                         BigInt::random_bits(drbg, bits)};
+  for (const BigInt& exp : exps) {
+    EXPECT_EQ(base.mod_exp(exp, m), mod_exp_oracle(base, exp, m))
+        << "m=" << m.to_hex() << " base=" << base.to_hex()
+        << " exp=" << exp.to_hex();
+  }
+}
+
+TEST(BigInt, ModExpMatchesOracleAcrossLimbCounts) {
+  // Odd moduli of every width from 1 to 48 32-bit limbs (1536 bits): odd
+  // limb counts leave the top 64-bit limb half empty. The top limb's width
+  // varies from 1 to 32 bits.
+  HmacDrbg drbg(9, "modexp-oracle");
+  for (std::size_t limbs = 1; limbs <= 48; ++limbs) {
+    BigInt m =
+        BigInt::random_bits(drbg, 32 * (limbs - 1) + 1 + (limbs * 7) % 32);
+    m.set_bit(0);
+    expect_mod_exp_matches_oracle(m, drbg);
+  }
+}
+
+TEST(BigInt, ModExpMatchesOracleOnEdgeModuli) {
+  HmacDrbg drbg(10, "modexp-edge");
+  expect_mod_exp_matches_oracle(BigInt(3), drbg);
+  // 2^k - 1 and 2^k + 1 around the 32- and 64-bit limb boundaries.
+  for (std::size_t k : {31u, 32u, 33u, 63u, 64u, 65u, 127u, 128u, 129u,
+                        512u, 1024u}) {
+    expect_mod_exp_matches_oracle(all_ones(k), drbg);
+    expect_mod_exp_matches_oracle((BigInt(1) << k) + BigInt(1), drbg);
+  }
+  // A top 32-bit limb of exactly 1, with and without a padding limb above
+  // it in 64-bit terms.
+  for (std::size_t limbs : {1u, 2u, 3u, 16u, 17u, 32u}) {
+    BigInt m = (BigInt(1) << (32 * limbs)) +
+               BigInt::random_bits(drbg, 32 * limbs - 5);
+    m.set_bit(0);
+    expect_mod_exp_matches_oracle(m, drbg);
+  }
+  EXPECT_EQ(BigInt(12345).mod_exp(BigInt(7), BigInt(1)), BigInt());
+}
+
 TEST(BigInt, ModExpEvenModulus) {
   EXPECT_EQ(BigInt(3).mod_exp(BigInt(5), BigInt(100)), BigInt(43));
 }
@@ -174,6 +238,24 @@ TEST(BigInt, PrimalityKnownPrimesAndComposites) {
   // 2^67-1 = 193707721 * 761838257287 (composite Mersenne).
   EXPECT_FALSE(
       BigInt::is_probable_prime(BigInt::from_hex("7ffffffffffffffff"), drbg));
+}
+
+TEST(BigInt, PrimalityRejectsPseudoprimesAcceptsRfc3526) {
+  HmacDrbg drbg(11, "prime-edge");
+  // Strong pseudoprimes: 2047 to base 2, 3215031751 to bases 2, 3, 5, 7;
+  // Carmichael numbers 561 and 41041.
+  for (std::uint64_t n : {2047ULL, 3215031751ULL, 561ULL, 41041ULL}) {
+    EXPECT_FALSE(BigInt::is_probable_prime(BigInt(n), drbg)) << n;
+  }
+  // Strong pseudoprimes with no factor below 256, so trial division passes
+  // them on to Miller-Rabin: 149491 * 747451 * 34233211 (bases 2..37) and
+  // 399165290221 * 798330580441 (bases 2..37).
+  EXPECT_FALSE(BigInt::is_probable_prime(BigInt(3825123056546413051ULL),
+                                         drbg));
+  EXPECT_FALSE(BigInt::is_probable_prime(
+      BigInt::from_hex("437ae92817f9fc85b7e5"), drbg));
+  EXPECT_TRUE(
+      BigInt::is_probable_prime(dh_params(DhGroup::kModp1536).p, drbg));
 }
 
 TEST(BigInt, GeneratePrimeHasRequestedBits) {

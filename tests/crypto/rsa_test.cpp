@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "crypto/drbg.hpp"
+#include "crypto/sha256.hpp"
 
 namespace hipcloud::crypto {
 namespace {
@@ -106,6 +107,29 @@ TEST(RsaGenerate, DeterministicFromSeed) {
   HmacDrbg a(5, "same");
   HmacDrbg b(5, "same");
   EXPECT_EQ(rsa_generate(a, 512).pub.n, rsa_generate(b, 512).pub.n);
+}
+
+// Pins the exact keys every Fig. 2 world generates (seed 1): the HIP host
+// identities of the LB, three web servers and DB, plus the SSL arm's CA,
+// DB and web TLS keys. Each modulus is hashed together with the next 32
+// DRBG bytes after keygen (what HostIdentity seeds its nonce DRBG from),
+// so a change to the prime search that drew a different number of
+// Miller-Rabin bases would show here even if it found the same primes.
+TEST(RsaGenerate, GoldenFig2Keys) {
+  const char* const kLabels[] = {"hi:lb",    "hi:web0",  "hi:web1",
+                                 "hi:web2",  "hi:db",    "ca",
+                                 "db-key",   "web-key0", "web-key1",
+                                 "web-key2"};
+  Sha256 h;
+  for (const char* label : kLabels) {
+    HmacDrbg drbg(1, label);
+    const RsaKeyPair kp = rsa_generate(drbg, 1024);
+    h.update(kp.pub.n.to_bytes_be(128));
+    h.update(drbg.generate(32));
+  }
+  const auto digest = h.finish();
+  EXPECT_EQ(to_hex(Bytes(digest.begin(), digest.end())),
+            "6a2b3f68727ad3724d7fa110943330635fc9bac761c951d21b6c852d819132fc");
 }
 
 TEST(RsaGenerate, RejectsTinyModulus) {
