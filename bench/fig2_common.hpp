@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "core/testbed.hpp"
-#include "crypto_micro.hpp"
 #include "sweep.hpp"
 
 namespace hipcloud::bench {
@@ -35,7 +34,6 @@ struct Fig2Report {
   std::vector<Fig2Row> rows;
   double wall_seconds;
   unsigned threads;
-  CryptoMicro crypto;
   /// Simulator-substrate counters merged across every world in the sweep.
   sim::PerfCounters sim_perf;
   /// Per-mode latency distributions merged (Summary::merge) across every
@@ -70,24 +68,6 @@ inline void write_fig2_json(const Fig2Report& r, const char* path,
                  i + 1 < r.rows.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");
-  std::fprintf(f, "  \"crypto_micro\": {\n");
-  std::fprintf(f, "    \"aes_hardware\": %s,\n",
-               r.crypto.aes_hw ? "true" : "false");
-  std::fprintf(f, "    \"sha256_backend\": \"%s\",\n", r.crypto.sha_backend);
-  std::fprintf(f, "    \"sha256_mb_lanes\": %zu,\n", r.crypto.sha_mb_lanes);
-  std::fprintf(f, "    \"aes128_ctr_mbps\": {\"before\": %.1f, \"after\": %.1f},\n",
-               r.crypto.aes_ctr_mbps_before, r.crypto.aes_ctr_mbps_after);
-  std::fprintf(f,
-               "    \"hmac_sha256_mbps\": {\"scalar\": %.1f, \"after\": %.1f, "
-               "\"multibuffer\": %.1f},\n",
-               r.crypto.hmac_mbps_scalar, r.crypto.hmac_mbps,
-               r.crypto.hmac_mb_mbps);
-  std::fprintf(f,
-               "    \"esp_protect_ops_per_sec\": {\"before\": %.0f, "
-               "\"after\": %.0f, \"batched\": %.0f}\n",
-               r.crypto.esp_protect_ops_before, r.crypto.esp_protect_ops_after,
-               r.crypto.esp_protect_batch_ops);
-  std::fprintf(f, "  },\n");
   std::fprintf(f, "  \"sim_perf\": {\n");
   r.sim_perf.write_json_fields(f, "    ");
   std::fprintf(f, "\n  },\n");
@@ -216,7 +196,7 @@ inline Fig2Report run_fig2(const cloud::ProviderProfile& provider,
       mark(basic_highest), mark(comparable), mark(hip_slightly_below),
       mark(basic_surges), mark(accel_dominates), mark(accel_closes_gap));
 
-  Fig2Report report{std::move(rows), wall, threads, {}, {}, {}};
+  Fig2Report report{std::move(rows), wall, threads, {}, {}};
   for (std::size_t i = 0; i < results.size(); ++i) {
     report.sim_perf.merge(results[i].perf);
     report.latency_all[i % 4].merge(results[i].latency);
@@ -228,24 +208,6 @@ inline Fig2Report run_fig2(const cloud::ProviderProfile& provider,
         report.sim_perf.pool_misses_per_packet(),
         static_cast<unsigned long long>(report.sim_perf.packets_delivered),
         100.0 * report.sim_perf.pool_hit_rate());
-  }
-  if (json_path) {
-    std::printf("Crypto micro-bench (for the JSON perf trajectory)...\n");
-    report.crypto = run_crypto_micro();
-    std::printf(
-        "  AES-128-CTR: %.0f MB/s before (S-box ref) -> %.0f MB/s after "
-        "(%s)\n"
-        "  HMAC-SHA256 (1500 B): %.0f MB/s scalar -> %.0f MB/s (%s) -> "
-        "%.0f MB/s multi-buffer x%zu\n"
-        "  ESP protect (1 KiB): %.0f ops/s before -> %.0f ops/s after -> "
-        "%.0f ops/s batched\n\n",
-        report.crypto.aes_ctr_mbps_before, report.crypto.aes_ctr_mbps_after,
-        report.crypto.aes_hw ? "AES-NI" : "T-tables",
-        report.crypto.hmac_mbps_scalar, report.crypto.hmac_mbps,
-        report.crypto.sha_backend, report.crypto.hmac_mb_mbps,
-        report.crypto.sha_mb_lanes, report.crypto.esp_protect_ops_before,
-        report.crypto.esp_protect_ops_after,
-        report.crypto.esp_protect_batch_ops);
     write_fig2_json(report, json_path, title);
   }
   return report;

@@ -23,8 +23,7 @@
 #                                 # including a no-acceleration env-matrix run
 #   scripts/check.sh --scale      # full fig_scale run: the sharded world at
 #                                 # 1/2/4/8(+auto) workers across all client
-#                                 # scales plus the adaptive-lookahead
-#                                 # ablation and the sharded RUBiS curve,
+#                                 # scales plus the sharded RUBiS curve,
 #                                 # regenerating BENCH_scale.json (fails on
 #                                 # any worker-count hash mismatch), then the
 #                                 # full sharded chaos drill (guest-link

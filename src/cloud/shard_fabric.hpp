@@ -46,9 +46,9 @@ struct FabricConfig {
   /// `racks_per_pod` consecutive racks (0 = one flat pod, every link
   /// `cross_rack`). Links between racks in *different* pods use
   /// `cross_pod` instead — typically WAN-ish latency, which is exactly
-  /// the shape where per-pair lookahead beats the global minimum: only
-  /// the intra-pod seams are fast, so remote pods stride at cross_pod
-  /// cadence instead of barriering at cross_rack cadence.
+  /// the shape per-pair lookahead serves: only the intra-pod seams are
+  /// fast, so remote pods stride at cross_pod cadence instead of
+  /// barriering at cross_rack cadence.
   std::size_t racks_per_pod = 0;
   net::LinkConfig cross_pod{/*bandwidth_bps=*/1e9,
                             /*latency=*/sim::from_millis(5),

@@ -74,8 +74,8 @@ class EventLoop {
   ///    cross arrivals order among themselves by (src shard, post index)
   ///    — exactly the coordinator's canonical drain order;
   ///  - the (when, seq) pair folded by PerfCounters::note_fire is
-  ///    invariant across epoch slicings, so adaptive and global-min
-  ///    lookahead produce byte-identical hashes by construction.
+  ///    invariant across epoch slicings, so any horizon rule or run()
+  ///    segmentation produces byte-identical hashes by construction.
   /// The local counter is NOT consumed, so local seq streams are equally
   /// slicing-invariant.
   EventHandle schedule_cross(Time when, std::uint32_t src_shard,

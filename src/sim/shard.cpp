@@ -62,33 +62,14 @@ Duration ShardCoordinator::pair_lookahead(std::size_t src,
   return pair_lookahead_[src * n + dst];
 }
 
-Duration ShardCoordinator::effective_lookahead(std::size_t src,
-                                               std::size_t dst) const {
-  const Duration reg = pair_lookahead_[src * shards_.size() + dst];
-  if (reg >= 0) return reg;
-  return registered_only_ ? -1 : lookahead_;
-}
-
-Duration ShardCoordinator::min_effective_lookahead() const {
-  const std::size_t n = shards_.size();
-  Duration min_la = registered_only_ ? -1 : lookahead_;
-  for (std::size_t src = 0; src < n; ++src) {
-    for (std::size_t dst = 0; dst < n; ++dst) {
-      const Duration reg = pair_lookahead_[src * n + dst];
-      if (reg >= 0 && (min_la < 0 || reg < min_la)) min_la = reg;
-    }
-  }
-  // A world with no seams at all still needs a positive epoch for the
-  // global-min rule; the default lookahead serves.
-  return min_la >= 0 ? min_la : lookahead_;
-}
-
 void ShardCoordinator::post(std::size_t src, std::size_t dst, Time when,
                             InlineFn fn) {
   const std::size_t n = shards_.size();
   HIPCLOUD_CHECK(src < n && dst < n, "cross-shard post outside the world");
-  HIPCLOUD_CHECK(!registered_only_ || pair_lookahead_[src * n + dst] >= 0,
-                 "cross-shard post on an unregistered seam");
+  const Duration la = pair_lookahead_[src * n + dst];
+  HIPCLOUD_CHECK(la >= 0, "cross-shard post on an unregistered seam");
+  HIPCLOUD_CHECK(when >= shards_[src]->now() + la,
+                 "cross-shard post inside the seam lookahead");
   Inbox& cell = inboxes_[src * n + dst];
   cell.events.push_back(CrossEvent{when, post_seq_[src]++, std::move(fn)});
 }
@@ -113,8 +94,9 @@ PerfCounters ShardCoordinator::merged_perf() const {
   return merged;
 }
 
-// hipcheck:seam — the sanctioned barrier-phase inbox drain: both barrier
-// crossings between a post and this drain give the happens-before edge.
+// hipcheck:seam — the sanctioned inbox drain, a barrier-completion step:
+// every worker is parked, and the barrier crossing between a post and
+// this drain gives the happens-before edge.
 void ShardCoordinator::drain_into(std::size_t dst) {
   const std::size_t n = shards_.size();
   struct Pending {
@@ -160,72 +142,55 @@ void ShardCoordinator::record_failure() {
 // one running writer and the barrier release publishes it.
 void ShardCoordinator::compute_horizons(Time until, bool& done) {
   const std::size_t n = shards_.size();
-  // l(i) starts at next(i): the earliest pending work for shard i, from
-  // its own heap or from undrained inbox posts addressed to it. These
-  // are the committed clocks' forward projections published at this
-  // barrier — every shard's loop is parked, so the reads are exact.
+  // l(i) starts at next(i), the earliest pending work for shard i. The
+  // inboxes were drained just before this, so every loop's heap holds
+  // all of it, and every loop is parked — the reads are exact.
   Time global_min = kInfTime;
   for (std::size_t i = 0; i < n; ++i) {
     const Time t = shards_[i]->next_event_time();
     lbts_[i] = t >= 0 ? t : kInfTime;
+    global_min = std::min(global_min, lbts_[i]);
   }
-  for (std::size_t src = 0; src < n; ++src) {
-    for (std::size_t dst = 0; dst < n; ++dst) {
-      for (const CrossEvent& e : inboxes_[src * n + dst].events) {
-        if (e.when < lbts_[dst]) lbts_[dst] = e.when;
-      }
-    }
-  }
-  for (const Time t : lbts_) global_min = std::min(global_min, t);
   if (global_min == kInfTime || (until >= 0 && global_min > until)) {
     done = true;
     return;
   }
 
-  if (!adaptive_) {
-    // Global-min ablation: one epoch length for everyone, the PR-7 rule.
-    const Duration la = min_effective_lookahead();
-    HIPCLOUD_CHECK(la > 0, "shard lookahead must be positive");
-    Time h = sat_add(global_min, la);
-    if (until >= 0 && h > until) h = until;
-    horizons_.assign(n, h);
-  } else {
-    // Fixed point of l(i) = min(next(i), min_j l(j) + la(j,i)) — a
-    // shortest-path relaxation, so at most n-1 sweeps converge; worlds
-    // converge in 2-3 because seams are few. l(i) lower-bounds the next
-    // instant shard i can fire (and hence emit) anything.
-    for (std::size_t round = 1; round < n; ++round) {
-      bool changed = false;
-      for (std::size_t dst = 0; dst < n; ++dst) {
-        for (std::size_t src = 0; src < n; ++src) {
-          if (src == dst) continue;
-          const Duration la = effective_lookahead(src, dst);
-          if (la < 0) continue;
-          const Time cand = sat_add(lbts_[src], la);
-          if (cand < lbts_[dst]) {
-            lbts_[dst] = cand;
-            changed = true;
-          }
+  // Fixed point of l(i) = min(next(i), min_j l(j) + la(j,i)) — a
+  // shortest-path relaxation, so at most n-1 sweeps converge; worlds
+  // converge in 2-3 because seams are few. l(i) lower-bounds the next
+  // instant shard i can fire (and hence emit) anything. Unregistered
+  // pairs (la < 0, the diagonal included) carry no traffic and impose
+  // nothing.
+  for (std::size_t round = 1; round < n; ++round) {
+    bool changed = false;
+    for (std::size_t dst = 0; dst < n; ++dst) {
+      for (std::size_t src = 0; src < n; ++src) {
+        const Duration la = pair_lookahead_[src * n + dst];
+        if (la < 0) continue;
+        const Time cand = sat_add(lbts_[src], la);
+        if (cand < lbts_[dst]) {
+          lbts_[dst] = cand;
+          changed = true;
         }
       }
-      if (!changed) break;
     }
-    // horizon(i): nothing can arrive from seam (j,i) before l(j) +
-    // la(j,i), so shard i safely commits through the min of those. The
-    // shard holding the global minimum l always clears its own horizon
-    // (every term is >= l_min + positive la), so each round fires at
-    // least one event — progress is unconditional.
-    for (std::size_t i = 0; i < n; ++i) {
-      Time h = kInfTime;
-      for (std::size_t j = 0; j < n; ++j) {
-        if (j == i) continue;
-        const Duration la = effective_lookahead(j, i);
-        if (la < 0) continue;
-        h = std::min(h, sat_add(lbts_[j], la));
-      }
-      if (until >= 0 && h > until) h = until;
-      horizons_[i] = h == kInfTime ? -1 : h;
+    if (!changed) break;
+  }
+  // horizon(i): nothing can arrive from seam (j,i) before l(j) +
+  // la(j,i), so shard i safely commits through the min of those. The
+  // shard holding the global minimum l always clears its own horizon
+  // (every term is >= l_min + positive la), so each round fires at
+  // least one event — progress is unconditional.
+  for (std::size_t i = 0; i < n; ++i) {
+    Time h = kInfTime;
+    for (std::size_t j = 0; j < n; ++j) {
+      const Duration la = pair_lookahead_[j * n + i];
+      if (la < 0) continue;
+      h = std::min(h, sat_add(lbts_[j], la));
     }
+    if (until >= 0 && h > until) h = until;
+    horizons_[i] = h == kInfTime ? -1 : h;
   }
 
   ++epochs_;
@@ -266,7 +231,6 @@ std::size_t ShardCoordinator::run(Time until, unsigned workers) {
   const std::size_t n = shards_.size();
   if (n == 0) return 0;
   workers = plan_workers(workers);
-  HIPCLOUD_CHECK(lookahead_ > 0, "shard lookahead must be positive");
   failed_.store(false, std::memory_order_relaxed);
   first_failure_ = nullptr;
 
@@ -275,9 +239,20 @@ std::size_t ShardCoordinator::run(Time until, unsigned workers) {
 
   // Round state: written only inside the barrier completion (all workers
   // parked) or before the workers start, read by workers after release —
-  // the barrier itself is the synchronization.
+  // the barrier itself is the synchronization. Each round: drain every
+  // inbox in shard-id order, then compute the next horizons. advance is
+  // noexcept (a barrier completion must not throw), so a failing drain
+  // goes through the failure funnel and ends the run like a failing
+  // shard callback does.
   bool done = false;
   auto advance = [&]() noexcept {
+    if (!failed_.load(std::memory_order_relaxed)) {
+      try {
+        for (std::size_t s = 0; s < n; ++s) drain_into(s);
+      } catch (...) {
+        record_failure();
+      }
+    }
     if (failed_.load(std::memory_order_relaxed)) {
       done = true;
       return;
@@ -285,10 +260,9 @@ std::size_t ShardCoordinator::run(Time until, unsigned workers) {
     compute_horizons(until, done);
   };
 
-  std::barrier drain_gate(static_cast<std::ptrdiff_t>(workers));
   std::barrier sync(static_cast<std::ptrdiff_t>(workers), advance);
 
-  advance();  // compute the first round's horizons before any worker exists
+  advance();  // drain setup-thread posts, compute the first horizons
 
   auto worker_main = [&](unsigned w) {
     // Audited shared reads in this loop: `done` and horizons_ are written
@@ -298,29 +272,9 @@ std::size_t ShardCoordinator::run(Time until, unsigned workers) {
     // barrier_wait_ns_ are relaxed atomics by design (flag and counter;
     // no data rides on their ordering).
     while (!done) {
-      // Phase A: drain inboxes filled during the previous round. The
-      // drain_gate keeps phase-B posts (into cells another worker may
-      // still be draining) from starting early.
-      if (!failed_.load(std::memory_order_relaxed)) {
-        try {
-          for (std::size_t s = w; s < n; s += workers) drain_into(s);
-        } catch (...) {
-          record_failure();
-        }
-      }
-      // hipcheck:allow(wall-clock): barrier-wait telemetry; never feeds sim state
-      const auto wait_a = std::chrono::steady_clock::now();
-      drain_gate.arrive_and_wait();
-      barrier_wait_ns_.fetch_add(
-          static_cast<std::uint64_t>(
-              std::chrono::duration_cast<std::chrono::nanoseconds>(
-                  // hipcheck:allow(wall-clock): barrier-wait telemetry; never feeds sim state
-                  std::chrono::steady_clock::now() - wait_a)
-                  .count()),
-          std::memory_order_relaxed);
-      // Phase B: run each owned shard's loop to its own horizon. Static
-      // id-striped ownership: assignment affects only wall time, never
-      // what any shard executes.
+      // Run each owned shard's loop to its own horizon. Static id-striped
+      // ownership: assignment affects only wall time, never what any
+      // shard executes.
       if (!failed_.load(std::memory_order_relaxed)) {
         try {
           for (std::size_t s = w; s < n; s += workers) {
@@ -333,13 +287,13 @@ std::size_t ShardCoordinator::run(Time until, unsigned workers) {
         Log::set_shard_id(-1);
       }
       // hipcheck:allow(wall-clock): barrier-wait telemetry; never feeds sim state
-      const auto wait_b = std::chrono::steady_clock::now();
-      sync.arrive_and_wait();  // completion computes the next horizons
+      const auto wait = std::chrono::steady_clock::now();
+      sync.arrive_and_wait();  // completion drains and computes horizons
       barrier_wait_ns_.fetch_add(
           static_cast<std::uint64_t>(
               std::chrono::duration_cast<std::chrono::nanoseconds>(
                   // hipcheck:allow(wall-clock): barrier-wait telemetry; never feeds sim state
-                  std::chrono::steady_clock::now() - wait_b)
+                  std::chrono::steady_clock::now() - wait)
                   .count()),
           std::memory_order_relaxed);
     }

@@ -14,24 +14,28 @@
 namespace hipcloud::sim {
 
 /// Conservative parallel discrete-event coordinator: N single-threaded
-/// EventLoops (one per shard) advance in barrier-synchronized rounds.
-/// Each round computes a *per-shard horizon* from adaptive per-pair
-/// channel lookahead: every ordered shard pair (j,i) carries the minimum
-/// delivery latency of links crossing that seam, and shard i may run to
+/// EventLoops (one per shard) advance in rounds separated by one
+/// barrier. One horizon rule, one seam mode, one barrier:
 ///
-///   horizon(i) = min over incoming seams (j,i) of  l(j) + lookahead(j,i)
+///  - Horizon rule. Every ordered shard pair (j,i) that links cross
+///    carries a registered seam lookahead la(j,i): the minimum delivery
+///    latency of those links. Each round, shard i may run to
 ///
-/// where l(j) is a lower bound on the next instant shard j can fire any
-/// event — the fixed point of l(j) = min(next(j), min_k l(k) +
-/// lookahead(k,j)) over the published per-shard committed clocks and
-/// next-event times, computed once per barrier. Shards connected only by
-/// slow seams take long strides; idle shards skip ahead; a fast seam
-/// between two other shards never throttles them. Pairs with no
-/// registered seam fall back to the global default lookahead — or, in
-/// registered-pairs-only mode (net::ShardedWorld, where all cross
-/// traffic flows over registered CrossLinkHalf twins), to no constraint
-/// at all. `set_adaptive(false)` reverts to the PR-7 global-min epoch
-/// rule for ablation; both modes produce byte-identical hashes.
+///      horizon(i) = min over registered seams (j,i) of  l(j) + la(j,i)
+///
+///    where l(j) is a lower bound on the next instant shard j can fire
+///    any event — the fixed point of l(j) = min(next(j), min_k l(k) +
+///    la(k,j)) over the per-shard next-event times. Shards connected only
+///    by slow seams take long strides; idle shards skip ahead; a fast
+///    seam between two other shards never throttles them.
+///  - Seam mode. Cross-shard posts are legal only on registered seams,
+///    at or beyond the seam lookahead (both checked in post()); a pair
+///    with no registered seam carries no traffic and imposes no horizon
+///    constraint. net::ShardedWorld registers each CrossLinkHalf twin's
+///    seam at connect time.
+///  - Barrier. Workers run their shards to their horizons, then park at
+///    the one barrier. Its completion step, with every worker parked,
+///    drains every inbox and computes the next round's horizons.
 ///
 /// Cross-shard traffic flows through per-(src,dst) inboxes:
 ///
@@ -39,12 +43,12 @@ namespace hipcloud::sim {
 ///    an absolute firing time plus a callback. Each (src,dst) cell has
 ///    exactly one writer (the source shard's worker), so appends are
 ///    plain vector pushes — no locks, no atomics.
-///  - At the barrier, each destination drains the cells addressed to it,
-///    sorts the entries by (when, src shard, source post index), and
-///    schedules them into its own loop via EventLoop::schedule_cross,
-///    which stamps the entry with a (src, post index) identity fixed at
-///    post time. The two barrier crossings between a post and its drain
-///    give the happens-before edge.
+///  - In the barrier completion, each destination (in shard-id order)
+///    takes the cells addressed to it, sorts the entries by (when, src
+///    shard, source post index), and schedules them into its own loop
+///    via EventLoop::schedule_cross, which stamps the entry with a (src,
+///    post index) identity fixed at post time. The barrier crossing
+///    between a post and its drain gives the happens-before edge.
 ///
 /// Determinism: the shard partition is part of the world's topology, and
 /// nothing in the horizon computation, drain order, or per-loop event
@@ -55,7 +59,8 @@ namespace hipcloud::sim {
 /// post-time identity, so draining the same posts at different barriers
 /// cannot reorder or rename any firing. The per-shard FNV-1a hashes and
 /// their shard-id-order merge are therefore byte-identical whether the
-/// same world runs on 1 worker or N, adaptive or global-min.
+/// same world runs on 1 worker or N, in one run(until) or in several
+/// bounded segments.
 class ShardCoordinator {
  public:
   ShardCoordinator() = default;
@@ -69,15 +74,6 @@ class ShardCoordinator {
   std::size_t shard_count() const { return shards_.size(); }
   EventLoop* shard(std::size_t id) { return shards_[id]; }
 
-  /// Default lookahead for shard pairs with no registered seam, and the
-  /// floor of the global-min ablation. Must be positive and no larger
-  /// than the minimum cross-shard delivery latency of any unregistered
-  /// seam, or conservative synchronization is violated (a post could
-  /// land inside the round that issued it). Callers building worlds
-  /// shrink this to their minimum cross link latency before running.
-  void set_lookahead(Duration lookahead) { lookahead_ = lookahead; }
-  Duration lookahead() const { return lookahead_; }
-
   /// Record that links cross the ordered seam (src,dst) with delivery
   /// latency >= `lookahead`. Shrink-only min: registering a faster link
   /// later tightens the pair (legal between runs — outstanding posts
@@ -90,23 +86,12 @@ class ShardCoordinator {
   /// The registered seam lookahead, or -1 when (src,dst) has none.
   Duration pair_lookahead(std::size_t src, std::size_t dst) const;
 
-  /// When true, cross-shard posts are only legal on registered pairs
-  /// (checked), and unregistered pairs impose no horizon constraint at
-  /// all. net::ShardedWorld enables this: every cross post it issues
-  /// rides a CrossLinkHalf whose seam was registered at connect time.
-  void set_registered_pairs_only(bool on) { registered_only_ = on; }
-  bool registered_pairs_only() const { return registered_only_; }
-
-  /// Adaptive per-pair horizons (default) vs the PR-7 global-min epoch
-  /// rule (every shard runs to min-next-event + min-lookahead). The
-  /// ablation knob for bench/fig_scale; hashes are identical either way.
-  void set_adaptive(bool on) { adaptive_ = on; }
-  bool adaptive() const { return adaptive_; }
-
   /// Post a cross-shard event: run `fn` in shard `dst`'s loop at absolute
   /// time `when`. Called only from `src`'s worker during a round (or
-  /// from the setup thread before run()); the lookahead contract requires
-  /// `when` to be at or beyond `dst`'s current horizon.
+  /// from the setup thread before run()). Checked: (src,dst) must be a
+  /// registered seam, and `when` must be at least pair_lookahead(src,dst)
+  /// after src's clock — a later post could land inside a round `dst`
+  /// has already run, and the loop would silently fire it late.
   void post(std::size_t src, std::size_t dst, Time when, InlineFn fn);
 
   /// Run every shard to `until` (inclusive, like EventLoop::run; pass -1
@@ -139,10 +124,10 @@ class ShardCoordinator {
   /// denominator of the events-per-epoch bench column.
   std::uint64_t epochs() const { return epochs_; }
 
-  /// Total wall-clock nanoseconds workers spent parked at the two
-  /// barriers, summed across workers and runs. Telemetry only (never
-  /// feeds simulation state or the hash): the BENCH_scale.json
-  /// barrier-wait column showing what the adaptive horizon saves.
+  /// Total wall-clock nanoseconds workers spent parked at the barrier,
+  /// summed across workers and runs. Telemetry only (never feeds
+  /// simulation state or the hash): the BENCH_scale.json barrier-wait
+  /// column.
   std::uint64_t barrier_wait_ns() const {
     return barrier_wait_ns_.load(std::memory_order_relaxed);
   }
@@ -168,13 +153,6 @@ class ShardCoordinator {
     std::vector<CrossEvent> events;
   };
 
-  /// Seam lookahead used by the horizon rule for (src,dst): the
-  /// registered pair value, else the global default, else (in
-  /// registered-pairs-only mode) no constraint (-1).
-  Duration effective_lookahead(std::size_t src, std::size_t dst) const;
-  /// min over all ordered pairs of effective_lookahead — the global-min
-  /// ablation's epoch length (and the PR-7 behavior).
-  Duration min_effective_lookahead() const;
   void compute_horizons(Time until, bool& done);
   void drain_into(std::size_t dst);
   void record_failure() HIPCLOUD_EXCLUDES(failure_mu_);
@@ -183,12 +161,11 @@ class ShardCoordinator {
   // Single-writer mailbox cells: inboxes_[src * n + dst] and
   // post_seq_[src] are appended only by src's worker during a round, so
   // the ownership analyzer treats them as confined to the posting shard.
+  // The only other access is drain_into, inside the barrier completion
+  // while every worker is parked.
   std::vector<Inbox> inboxes_;            // hipcheck:shard_owned
   std::vector<std::uint64_t> post_seq_;   // hipcheck:shard_owned
   std::vector<Duration> pair_lookahead_;  // src * shard_count + dst; -1 unset
-  Duration lookahead_ = from_micros(50);
-  bool registered_only_ = false;
-  bool adaptive_ = true;
 
   // Round state: written only inside the barrier completion (all workers
   // parked) or before the workers start, read by workers after release —

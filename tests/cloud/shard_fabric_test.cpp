@@ -91,13 +91,11 @@ TEST(ShardedFabric, HeterogeneousPodsRegisterSlowInterPodSeams) {
   EXPECT_EQ(fabric.pod_of(3), 1u);
   auto& coord = fabric.world().coordinator();
   // Intra-pod seams carry the fast cross_rack lookahead, inter-pod the
-  // slow cross_pod one — the heterogeneity the adaptive horizon exploits.
+  // slow cross_pod one — the heterogeneity the per-pair horizon exploits.
   EXPECT_EQ(coord.pair_lookahead(0, 1), cfg.cross_rack.latency);
   EXPECT_EQ(coord.pair_lookahead(2, 3), cfg.cross_rack.latency);
   EXPECT_EQ(coord.pair_lookahead(0, 2), cfg.cross_pod.latency);
   EXPECT_EQ(coord.pair_lookahead(1, 3), cfg.cross_pod.latency);
-  // The global view still reports the smallest seam in the world.
-  EXPECT_EQ(coord.lookahead(), cfg.cross_rack.latency);
 }
 
 TEST(ShardedFabric, RackTopologyAndAddressing) {
@@ -108,8 +106,9 @@ TEST(ShardedFabric, RackTopologyAndAddressing) {
   ShardedFabric fabric(cfg);
   ASSERT_EQ(fabric.racks(), 3u);
   EXPECT_EQ(fabric.world().shard_count(), 3u);
-  // Cross-rack mesh latency bounds the lookahead.
-  EXPECT_EQ(fabric.world().coordinator().lookahead(), cfg.cross_rack.latency);
+  // Cross-rack mesh latency is every seam's lookahead.
+  EXPECT_EQ(fabric.world().coordinator().pair_lookahead(0, 2),
+            cfg.cross_rack.latency);
   for (std::size_t r = 0; r < cfg.racks; ++r) {
     ASSERT_EQ(fabric.rack_vms(r).size(), 4u);
     for (const auto& vm : fabric.rack_vms(r)) {

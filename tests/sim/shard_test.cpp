@@ -19,9 +19,10 @@ constexpr Duration kLookahead = from_micros(100);
 /// A deterministic synthetic multi-shard world: every shard runs a
 /// self-rescheduling tick chain, folds what it sees into a local
 /// accumulator, and every third tick posts a cross-shard event to the
-/// next shard (which in turn schedules a local follow-up). The whole
-/// construction is a pure function of (shards, ticks); only the worker
-/// count at run() time varies across test runs.
+/// next shard (which in turn schedules a local follow-up) over a ring of
+/// kLookahead seams. The whole construction is a pure function of
+/// (shards, ticks); only the worker count and the run() slicing vary
+/// across test runs.
 struct SyntheticWorld {
   std::vector<std::unique_ptr<EventLoop>> loops;
   ShardCoordinator coord;
@@ -33,7 +34,9 @@ struct SyntheticWorld {
       loops.push_back(std::make_unique<EventLoop>());
       coord.add_shard(loops.back().get());
     }
-    coord.set_lookahead(kLookahead);
+    for (std::size_t s = 0; s < shards && shards > 1; ++s) {
+      coord.register_pair_lookahead(s, (s + 1) % shards, kLookahead);
+    }
     for (std::size_t s = 0; s < shards; ++s) {
       schedule_tick(s, shards, /*tick=*/0, ticks);
     }
@@ -51,8 +54,8 @@ struct SyntheticWorld {
       fold(s, static_cast<std::uint64_t>(tick));
       if (tick % 3 == 0 && shards > 1) {
         const std::size_t dst = (s + 1) % shards;
-        // Lookahead contract: the post lands at or beyond the end of the
-        // epoch that issued it.
+        // Lookahead contract: the post lands at least one seam lookahead
+        // after the posting shard's clock.
         const Time when = loops[s]->now() + kLookahead + from_micros(7);
         coord.post(s, dst, when, [this, dst, s] {
           ++arrivals[dst];
@@ -74,10 +77,12 @@ struct RunResult {
   std::vector<Time> clocks;
 };
 
-RunResult run_world(std::size_t shards, int ticks, Time until,
-                    unsigned workers) {
+/// Run a fresh world through each bound in `untils` in turn: one entry is
+/// a single run(until), several are a segmented run to the last one.
+RunResult run_world(std::size_t shards, int ticks,
+                    const std::vector<Time>& untils, unsigned workers) {
   SyntheticWorld w(shards, ticks);
-  w.coord.run(until, workers);
+  for (const Time until : untils) w.coord.run(until, workers);
   RunResult r;
   r.hash = w.coord.world_hash();
   r.fired = w.coord.merged_perf().events_fired;
@@ -89,11 +94,11 @@ RunResult run_world(std::size_t shards, int ticks, Time until,
 
 TEST(ShardCoordinator, HashByteIdenticalAcrossWorkerCounts) {
   const Time until = from_millis(3);
-  const RunResult base = run_world(8, 40, until, 1);
+  const RunResult base = run_world(8, 40, {until}, 1);
   EXPECT_GT(base.fired, 0u);
   EXPECT_GT(base.arrivals[1], 0u);
   for (const unsigned workers : {2u, 4u, 8u}) {
-    const RunResult r = run_world(8, 40, until, workers);
+    const RunResult r = run_world(8, 40, {until}, workers);
     EXPECT_EQ(r.hash, base.hash) << "workers=" << workers;
     EXPECT_EQ(r.fired, base.fired) << "workers=" << workers;
     EXPECT_EQ(r.acc, base.acc) << "workers=" << workers;
@@ -105,9 +110,9 @@ TEST(ShardCoordinator, HashByteIdenticalAcrossWorkerCounts) {
 TEST(ShardCoordinator, DrainToCompletionMatchesBoundedRun) {
   // until = -1 runs until every loop and inbox drains; the event streams
   // must still be worker-count independent.
-  const RunResult base = run_world(4, 30, -1, 1);
+  const RunResult base = run_world(4, 30, {-1}, 1);
   for (const unsigned workers : {2u, 4u}) {
-    const RunResult r = run_world(4, 30, -1, workers);
+    const RunResult r = run_world(4, 30, {-1}, workers);
     EXPECT_EQ(r.hash, base.hash);
     EXPECT_EQ(r.acc, base.acc);
   }
@@ -124,7 +129,7 @@ TEST(ShardCoordinator, CrossShardDeliveryAtExactLookaheadBoundary) {
       loops.push_back(std::make_unique<EventLoop>());
       coord.add_shard(loops.back().get());
     }
-    coord.set_lookahead(kLookahead);
+    coord.register_pair_lookahead(0, 1, kLookahead);
     Time boundary_fire = -1;
     Time far_fire = -1;
     loops[0]->schedule_at(0, [&] {
@@ -153,7 +158,9 @@ TEST(ShardCoordinator, DrainOrderIsWhenThenSourceThenPostIndex) {
       loops.push_back(std::make_unique<EventLoop>());
       coord.add_shard(loops.back().get());
     }
-    coord.set_lookahead(kLookahead);
+    for (std::size_t src = 1; src < 4; ++src) {
+      coord.register_pair_lookahead(src, 0, kLookahead);
+    }
     std::vector<int> order;
     const Time when = kLookahead + from_micros(1);
     // Post from sources 3, 1, 2 (registration order must not matter) —
@@ -175,22 +182,25 @@ TEST(ShardCoordinator, DrainOrderIsWhenThenSourceThenPostIndex) {
 }
 
 TEST(ShardCoordinator, SkipAheadOverIdleStretches) {
-  // Two events a long idle gap apart: the coordinator must not grind
-  // through (gap / lookahead) empty epochs. events_fired and the final
-  // clock prove the far event still fires at its exact time.
+  // Two events a long idle gap apart across a kLookahead seam: the
+  // coordinator must not grind through (gap / lookahead) = 100 000 empty
+  // epochs. events_fired and the final clock prove the far event still
+  // fires at its exact time.
   std::vector<std::unique_ptr<EventLoop>> loops;
   ShardCoordinator coord;
   for (int s = 0; s < 2; ++s) {
     loops.push_back(std::make_unique<EventLoop>());
     coord.add_shard(loops.back().get());
   }
-  coord.set_lookahead(kLookahead);
+  coord.register_pair_lookahead(0, 1, kLookahead);
+  coord.register_pair_lookahead(1, 0, kLookahead);
   Time fired_at = -1;
   loops[0]->schedule_at(from_micros(5), [] {});
   loops[1]->schedule_at(from_seconds(10), [&] { fired_at = loops[1]->now(); });
   coord.run(from_seconds(11), 2);
   EXPECT_EQ(fired_at, from_seconds(10));
   EXPECT_EQ(coord.merged_perf().events_fired, 2u);
+  EXPECT_LE(coord.epochs(), 2u);
 }
 
 TEST(ShardCoordinator, MergedPerfIsShardIdOrderAndWorkerInvariant) {
@@ -213,39 +223,13 @@ TEST(ShardCoordinator, CallbackFailurePropagatesWithoutDeadlock) {
       loops.push_back(std::make_unique<EventLoop>());
       coord.add_shard(loops.back().get());
     }
-    coord.set_lookahead(kLookahead);
+    coord.register_pair_lookahead(0, 1, kLookahead);
+    coord.register_pair_lookahead(1, 0, kLookahead);
     loops[1]->schedule_at(from_micros(10), [] {
       throw CheckFailure("synthetic shard failure");
     });
     loops[0]->schedule_at(from_micros(1), [] {});
     EXPECT_THROW(coord.run(from_millis(1), workers), CheckFailure);
-  }
-}
-
-TEST(ShardCoordinator, AdaptiveAndGlobalMinHashesAreByteIdentical) {
-  // The tentpole invariant: per-pair horizons re-slice the epochs but
-  // must not rename or reorder a single firing. Same world, both modes,
-  // every worker count — one hash.
-  const Time until = from_millis(3);
-  std::uint64_t want_hash = 0;
-  std::uint64_t want_epochs_adaptive = 0;
-  for (const bool adaptive : {true, false}) {
-    for (const unsigned workers : {1u, 2u, 4u, 8u}) {
-      SyntheticWorld w(8, 40);
-      w.coord.set_adaptive(adaptive);
-      w.coord.run(until, workers);
-      if (want_hash == 0) want_hash = w.coord.world_hash();
-      EXPECT_EQ(w.coord.world_hash(), want_hash)
-          << "adaptive=" << adaptive << " workers=" << workers;
-      // Epoch count is a pure function of the schedule and the mode.
-      if (adaptive && want_epochs_adaptive == 0) {
-        want_epochs_adaptive = w.coord.epochs();
-      }
-      if (adaptive) {
-        EXPECT_EQ(w.coord.epochs(), want_epochs_adaptive)
-            << "workers=" << workers;
-      }
-    }
   }
 }
 
@@ -262,7 +246,6 @@ TEST(ShardCoordinator, DeliveryAtExactPerPairLookaheadBoundary) {
       loops.push_back(std::make_unique<EventLoop>());
       coord.add_shard(loops.back().get());
     }
-    coord.set_registered_pairs_only(true);
     coord.register_pair_lookahead(0, 1, kFast);
     coord.register_pair_lookahead(0, 2, kSlow);
     EXPECT_EQ(coord.pair_lookahead(0, 1), kFast);
@@ -281,10 +264,10 @@ TEST(ShardCoordinator, DeliveryAtExactPerPairLookaheadBoundary) {
 }
 
 /// Two isolated seam groups with very different cadences: shards 0<->1
-/// ping-pong every ~kFast over a fast seam, shards 2<->3 every ~kSlow
-/// over a slow one. Registered-pairs-only, so no seam crosses the
-/// groups. Built as a fixture so the heterogeneous tests below can run
-/// it in both horizon modes and at any worker count.
+/// ping-pong every kFast over a fast seam, shards 2<->3 every kSlow
+/// over a slow one. No seam crosses the groups. Built as a fixture so
+/// the heterogeneous tests below can run it at any worker count and
+/// slicing.
 struct TwoPairWorld {
   static constexpr Duration kFast = from_micros(100);
   static constexpr Duration kSlow = from_millis(10);
@@ -298,7 +281,6 @@ struct TwoPairWorld {
       loops.push_back(std::make_unique<EventLoop>());
       coord.add_shard(loops.back().get());
     }
-    coord.set_registered_pairs_only(true);
     coord.register_pair_lookahead(0, 1, kFast);
     coord.register_pair_lookahead(1, 0, kFast);
     coord.register_pair_lookahead(2, 3, kSlow);
@@ -316,51 +298,66 @@ struct TwoPairWorld {
 };
 
 TEST(ShardCoordinator, FastSeamDoesNotThrottleSlowPairStride) {
-  // Under the global-min rule every shard's horizon creeps at kFast
-  // cadence, so the slow pair is dragged through thousands of tiny
-  // strides. Under per-pair horizons the slow shards take one stride
-  // per bounce. Same firings, same hash, far fewer strides.
+  // Per-pair horizons: a round moves only the horizons its firings can
+  // affect. Each bounce is one stride of the shard that fired it (the
+  // first round strides every shard once), so the stride total is bounded
+  // by the bounce count. A slow pair marched at the fast seam's cadence
+  // would add two strides per fast bounce and blow the bound.
   const Time until = from_millis(50);
-  PerfCounters adaptive_perf;
-  PerfCounters global_perf;
-  std::uint64_t adaptive_hash = 0;
-  std::uint64_t global_hash = 0;
-  std::vector<std::uint64_t> adaptive_bounces;
-  {
+  TwoPairWorld base;
+  base.coord.run(until, 1);
+  const PerfCounters perf = base.coord.merged_perf();
+  // ~250 bounces from each fast shard and ~3 from each slow one.
+  EXPECT_GT(base.bounces[0], 100u);
+  EXPECT_GE(base.bounces[2], 2u);
+  std::uint64_t total_bounces = 0;
+  for (const std::uint64_t b : base.bounces) total_bounces += b;
+  EXPECT_LE(perf.shard_strides, total_bounces + base.loops.size());
+  EXPECT_LE(perf.shard_epochs, total_bounces + 1);
+  // Worker-count invariance for the heterogeneous world.
+  for (const unsigned workers : {2u, 4u}) {
     TwoPairWorld w;
-    w.coord.run(until, 1);
-    adaptive_perf = w.coord.merged_perf();
-    adaptive_hash = w.coord.world_hash();
-    adaptive_bounces = w.bounces;
+    w.coord.run(until, workers);
+    EXPECT_EQ(w.coord.world_hash(), base.coord.world_hash())
+        << "workers=" << workers;
+    EXPECT_EQ(w.bounces, base.bounces) << "workers=" << workers;
+    EXPECT_EQ(w.coord.epochs(), base.coord.epochs()) << "workers=" << workers;
   }
-  {
-    TwoPairWorld w;
-    w.coord.set_adaptive(false);
-    w.coord.run(until, 1);
-    global_perf = w.coord.merged_perf();
-    global_hash = w.coord.world_hash();
-    EXPECT_EQ(w.bounces, adaptive_bounces);
+}
+
+TEST(ShardCoordinator, SegmentedRunsMatchOneRun) {
+  // Slicing invariance: cutting a run into bounded segments re-slices
+  // the epochs (posts are drained at different barriers) but must not
+  // rename or reorder a single firing. Cut points fall inside lookahead
+  // windows and between bounces.
+  const std::vector<Time> cuts{from_micros(250), from_micros(777),
+                               from_millis(1), from_micros(1950),
+                               from_millis(3)};
+  for (const unsigned workers : {1u, 4u}) {
+    const RunResult whole = run_world(8, 40, {from_millis(3)}, workers);
+    const RunResult sliced = run_world(8, 40, cuts, workers);
+    EXPECT_GT(whole.arrivals[3], 0u);
+    EXPECT_EQ(sliced.hash, whole.hash) << "workers=" << workers;
+    EXPECT_EQ(sliced.fired, whole.fired) << "workers=" << workers;
+    EXPECT_EQ(sliced.acc, whole.acc) << "workers=" << workers;
+    EXPECT_EQ(sliced.arrivals, whole.arrivals) << "workers=" << workers;
+    EXPECT_EQ(sliced.clocks, whole.clocks) << "workers=" << workers;
   }
-  // ~500 fast bounces and ~5 slow ones actually happened either way.
-  EXPECT_GT(adaptive_bounces[0], 100u);
-  EXPECT_GE(adaptive_bounces[2], 3u);
-  EXPECT_EQ(adaptive_hash, global_hash);
-  EXPECT_EQ(adaptive_perf.events_fired, global_perf.events_fired);
-  // The stride economy is the point: the slow pair rides long strides
-  // instead of being marched at the fast seam's cadence.
-  EXPECT_LT(adaptive_perf.shard_strides, global_perf.shard_strides / 2);
-  EXPECT_GE(adaptive_perf.events_per_epoch(), global_perf.events_per_epoch());
-  // Worker-count invariance for the heterogeneous world, both modes.
-  for (const bool adaptive : {true, false}) {
-    for (const unsigned workers : {2u, 4u}) {
-      TwoPairWorld w;
-      w.coord.set_adaptive(adaptive);
-      w.coord.run(until, workers);
-      EXPECT_EQ(w.coord.world_hash(), adaptive_hash)
-          << "adaptive=" << adaptive << " workers=" << workers;
-      EXPECT_EQ(w.bounces, adaptive_bounces)
-          << "adaptive=" << adaptive << " workers=" << workers;
+  const Time until = from_millis(50);
+  TwoPairWorld whole;
+  whole.coord.run(until, 1);
+  for (const unsigned workers : {1u, 4u}) {
+    TwoPairWorld sliced;
+    for (const Time t : {from_micros(150), from_millis(7), from_millis(21),
+                         from_micros(33333), until}) {
+      sliced.coord.run(t, workers);
     }
+    EXPECT_EQ(sliced.coord.world_hash(), whole.coord.world_hash())
+        << "workers=" << workers;
+    EXPECT_EQ(sliced.coord.merged_perf().events_fired,
+              whole.coord.merged_perf().events_fired)
+        << "workers=" << workers;
+    EXPECT_EQ(sliced.bounces, whole.bounces) << "workers=" << workers;
   }
 }
 
@@ -379,7 +376,6 @@ TEST(ShardCoordinator, DynamicLinkAdditionShrinksPairLookaheadMidRun) {
       loops.push_back(std::make_unique<EventLoop>());
       coord.add_shard(loops.back().get());
     }
-    coord.set_registered_pairs_only(true);
     coord.register_pair_lookahead(0, 1, kInitial);
     coord.register_pair_lookahead(1, 0, kInitial);
     std::vector<Time> fires;
@@ -421,23 +417,62 @@ TEST(ShardCoordinator, PlanWorkersClampsAutoRequestsToWorkOnHand) {
   // run(until, 0) must behave like an explicit run at the planned count:
   // same hash as every other worker count.
   const Time until = from_millis(1);
-  const RunResult base = run_world(4, 10, until, 1);
+  const RunResult base = run_world(4, 10, {until}, 1);
   SyntheticWorld w(4, 10);
   w.coord.run(until, 0);
   EXPECT_EQ(w.coord.world_hash(), base.hash);
 }
 
 TEST(ShardCoordinator, PostOnUnregisteredSeamTripsInRegisteredOnlyMode) {
+  // Registered-pairs-only is the one seam mode: a post on a seam no
+  // link crosses is a checked error.
   std::vector<std::unique_ptr<EventLoop>> loops;
   ShardCoordinator coord;
   for (int s = 0; s < 2; ++s) {
     loops.push_back(std::make_unique<EventLoop>());
     coord.add_shard(loops.back().get());
   }
-  coord.set_registered_pairs_only(true);
   coord.register_pair_lookahead(0, 1, kLookahead);
   EXPECT_NO_THROW(coord.post(0, 1, kLookahead, [] {}));
   EXPECT_THROW(coord.post(1, 0, kLookahead, [] {}), CheckFailure);
+}
+
+TEST(ShardCoordinator, PostInsidePairLookaheadTrips) {
+  // A post one tick inside the seam lookahead could land in a round the
+  // destination has already run; the loop would clamp it to its clock
+  // and fire it late. post() must refuse it, from the setup thread and
+  // from a shard callback — the latter through the failure funnel,
+  // without deadlocking the barrier.
+  {
+    std::vector<std::unique_ptr<EventLoop>> loops;
+    ShardCoordinator coord;
+    for (int s = 0; s < 2; ++s) {
+      loops.push_back(std::make_unique<EventLoop>());
+      coord.add_shard(loops.back().get());
+    }
+    coord.register_pair_lookahead(0, 1, kLookahead);
+    EXPECT_THROW(coord.post(0, 1, kLookahead - 1, [] {}), CheckFailure);
+    EXPECT_EQ(coord.inbox_pending(), 0u);
+  }
+  for (const unsigned workers : {1u, 2u}) {
+    std::vector<std::unique_ptr<EventLoop>> loops;
+    ShardCoordinator coord;
+    for (int s = 0; s < 2; ++s) {
+      loops.push_back(std::make_unique<EventLoop>());
+      coord.add_shard(loops.back().get());
+    }
+    coord.register_pair_lookahead(0, 1, kLookahead);
+    coord.register_pair_lookahead(1, 0, kLookahead);
+    bool fired = false;
+    loops[0]->schedule_at(from_micros(10), [&] {
+      coord.post(0, 1, loops[0]->now() + kLookahead - 1,
+                 [&] { fired = true; });
+    });
+    loops[1]->schedule_at(from_micros(1), [] {});
+    EXPECT_THROW(coord.run(from_millis(1), workers), CheckFailure)
+        << "workers=" << workers;
+    EXPECT_FALSE(fired) << "workers=" << workers;
+  }
 }
 
 TEST(SummaryMerge, FixedOrderMergesAreByteIdentical) {
