@@ -14,12 +14,14 @@
 #include <functional>
 #include <new>
 #include <queue>
+#include <thread>
 #include <unordered_set>
 #include <vector>
 
 #include "core/testbed.hpp"
 #include "net/tcp.hpp"
 #include "sim/event_loop.hpp"
+#include "sim/random.hpp"
 
 // ---------------------------------------------------------------------------
 // Allocation counting: every operator new in this binary bumps a counter.
@@ -201,6 +203,75 @@ LoopScore run_loop_bench(std::size_t events, std::size_t churn) {
 }
 
 // ---------------------------------------------------------------------------
+// The engine mix of the saturated Fig. 2 HIP world: most pushes are
+// sub-millisecond link hops, and two hops in three carry an ACK that
+// re-arms its connection's retransmit timer (cancel, then schedule
+// ~200 ms out). A standing population of multi-second think/keepalive
+// timers fires and re-arms on its own. Shape: 16 hop chains and 6000 long
+// timers, so ~60% of pushes are sub-millisecond, and every cancelled
+// timer would linger ~200 ms as a tombstone in a lazily-cancelling heap.
+
+struct MixScore {
+  std::uint64_t fired;
+  std::uint64_t cancelled;
+  double fire_mops;  // fired events per wall second, millions
+};
+
+class MixWorld {
+ public:
+  static constexpr int kFlows = 16;
+  static constexpr int kTimers = 6000;
+
+  explicit MixWorld(std::size_t hops) : hops_left_(hops), rto_(kFlows) {
+    for (int f = 0; f < kFlows; ++f) hop(f);
+    for (int t = 0; t < kTimers; ++t) think();
+  }
+
+  sim::EventLoop& loop() { return loop_; }
+
+ private:
+  std::int64_t draw(std::int64_t n) {
+    return static_cast<std::int64_t>(rng_.next() %
+                                     static_cast<std::uint64_t>(n));
+  }
+
+  void hop(int f) {
+    if (hops_left_ == 0) return;
+    --hops_left_;
+    loop_.schedule(sim::from_micros(1) + draw(sim::from_micros(300)),
+                   [this, f, st = state_] { hop(f); });
+    if (draw(3) != 0) {
+      loop_.cancel(rto_[f]);
+      rto_[f] = loop_.schedule(
+          200 * sim::kMillisecond + draw(50 * sim::kMillisecond),
+          [this, f, st = state_] { rto_[f] = {}; });
+    }
+  }
+
+  void think() {
+    if (hops_left_ == 0) return;
+    loop_.schedule(sim::kSecond + draw(14 * sim::kSecond),
+                   [this, st = state_] { think(); });
+  }
+
+  sim::EventLoop loop_;
+  sim::SplitMix64 rng_{1};
+  std::size_t hops_left_;
+  std::vector<sim::EventHandle> rto_;
+  CallbackState state_{nullptr, {}};  // a realistic 64-byte capture
+};
+
+MixScore run_mixed_bench(std::size_t hops) {
+  MixWorld world(hops);
+  const auto t0 = Clock::now();
+  world.loop().run();
+  const double wall = seconds_since(t0);
+  const auto& perf = world.loop().perf();
+  return MixScore{perf.events_fired, perf.events_cancelled,
+                  static_cast<double>(perf.events_fired) / wall / 1e6};
+}
+
+// ---------------------------------------------------------------------------
 // Packet round-trip: two hosts on a fast LAN link, raw TCP, closed-loop
 // 1 KiB request -> 1 KiB response. Allocations and wall time are measured
 // over the steady-state run only (world setup excluded).
@@ -321,8 +392,14 @@ RubisScore run_rubis_hip(int clients, double sim_seconds) {
 
 constexpr double kSeedTcpAllocsPerPacket = 7.50;
 constexpr double kSeedRubisAllocsPerRequest = 1250.6;
+// The timer mix on the single-heap engine with lazy (tombstone) cancel,
+// the engine before the near/far split: median of 5 full runs of this
+// binary, alternated with the two-heap build, on a 4-CPU host
+// (RelWithDebInfo, g++ 12).
+constexpr double kSingleHeapMixFireMops = 2.91;
 
 void write_sim_json(const LoopScore& legacy, const LoopScore& current,
+                    const MixScore& mix, std::size_t mix_hops,
                     const EchoScore& echo, const RubisScore& rubis,
                     const char* path) {
   std::FILE* f = std::fopen(path, "w");
@@ -333,6 +410,8 @@ void write_sim_json(const LoopScore& legacy, const LoopScore& current,
   std::fprintf(f, "{\n");
   std::fprintf(f, "  \"title\": \"Simulator core: event engine and packet "
                "datapath\",\n");
+  std::fprintf(f, "  \"host_cpus\": %u,\n",
+               std::thread::hardware_concurrency());
   std::fprintf(f, "  \"event_loop\": {\n");
   std::fprintf(f, "    \"legacy_schedule_fire_mops\": %.2f,\n",
                legacy.schedule_fire_mops);
@@ -345,6 +424,16 @@ void write_sim_json(const LoopScore& legacy, const LoopScore& current,
                current.schedule_fire_mops / legacy.schedule_fire_mops);
   std::fprintf(f, "    \"speedup_schedule_cancel\": %.2f\n",
                current.cancel_mops / legacy.cancel_mops);
+  std::fprintf(f, "  },\n");
+  std::fprintf(f, "  \"timer_mix\": {\n");
+  std::fprintf(f, "    \"hops\": %zu,\n", mix_hops);
+  std::fprintf(f, "    \"events_fired\": %llu,\n",
+               static_cast<unsigned long long>(mix.fired));
+  std::fprintf(f, "    \"events_cancelled\": %llu,\n",
+               static_cast<unsigned long long>(mix.cancelled));
+  std::fprintf(f,
+               "    \"fired_mops\": {\"before\": %.2f, \"after\": %.2f}\n",
+               kSingleHeapMixFireMops, mix.fire_mops);
   std::fprintf(f, "  },\n");
   std::fprintf(f, "  \"tcp_echo\": {\n");
   std::fprintf(f, "    \"round_trips\": %llu,\n",
@@ -385,6 +474,7 @@ int main(int argc, char** argv) {
   const bool quick = argc > 1 && std::string_view(argv[1]) == "--quick";
   const std::size_t events = quick ? 200'000 : 2'000'000;
   const std::size_t churn = quick ? 200'000 : 2'000'000;
+  const std::size_t mix_hops = quick ? 200'000 : 2'000'000;
   const std::uint64_t echos = quick ? 2'000 : 20'000;
   const double rubis_secs = quick ? 2.0 : 8.0;
 
@@ -407,6 +497,13 @@ int main(int argc, char** argv) {
               current.schedule_fire_mops / legacy.schedule_fire_mops,
               current.cancel_mops, current.cancel_mops / legacy.cancel_mops);
 
+  const auto mix = run_mixed_bench(mix_hops);
+  std::printf("event loop, Fig. 2 timer mix (%zu hops)\n"
+              "  fired: %llu  cancelled: %llu\n"
+              "  fired events: %6.2f M/s\n\n",
+              mix_hops, static_cast<unsigned long long>(mix.fired),
+              static_cast<unsigned long long>(mix.cancelled), mix.fire_mops);
+
   const auto echo = run_tcp_echo(echos);
   std::printf("tcp echo (1 KiB, %llu round trips)\n"
               "  packets delivered: %llu\n"
@@ -427,6 +524,7 @@ int main(int argc, char** argv) {
               100.0 * rubis.perf.pool_hit_rate(), rubis.wall_seconds);
 
   // The quick CTest smoke run keeps the JSON artifact from the full run.
-  if (!quick) write_sim_json(legacy, current, echo, rubis, "BENCH_sim.json");
+  if (!quick) write_sim_json(legacy, current, mix, mix_hops, echo, rubis,
+                             "BENCH_sim.json");
   return 0;
 }

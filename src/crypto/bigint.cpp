@@ -371,9 +371,26 @@ class Montgomery {
     return out;
   }
 
-  /// x = x^e, Montgomery form in and out, with a fixed 4-bit window.
+  /// x = x^e, Montgomery form in and out, with a fixed 4-bit window. An
+  /// exponent of at most kShortExpBits (RSA's e = 65537) would not pay
+  /// back the window table's 14 multiplies, so it gets plain
+  /// left-to-right square-and-multiply instead.
   void pow(std::vector<Limb>& x, const BigInt& e) {
     const std::size_t n = m_.size();
+    const std::size_t bits = e.bit_length();
+    if (bits <= kShortExpBits) {
+      if (bits == 0) {
+        x = one_;
+        return;
+      }
+      Limb* base = &table_[n];
+      std::copy(x.begin(), x.end(), base);
+      for (std::size_t i = bits - 1; i-- > 0;) {
+        mul(x.data(), x.data(), x.data());
+        if (e.bit(i)) mul(x.data(), base, x.data());
+      }
+      return;
+    }
     std::copy(one_.begin(), one_.end(), table_.begin());
     std::copy(x.begin(), x.end(), table_.begin() + static_cast<long>(n));
     for (std::size_t i = 2; i < 16; ++i) {
@@ -389,6 +406,8 @@ class Montgomery {
   }
 
  private:
+  static constexpr std::size_t kShortExpBits = 32;
+
   static std::vector<Limb> pack(const std::vector<std::uint32_t>& x,
                                 std::size_t n) {
     std::vector<Limb> out(n, 0);

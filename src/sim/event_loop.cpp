@@ -5,41 +5,44 @@
 namespace hipcloud::sim {
 
 void EventLoop::audit_consistency() const {
-  const std::size_t n = heap_.size();
-  std::size_t live_in_heap = 0;
-  std::size_t dead_in_heap = 0;
-  std::vector<bool> referenced(slots_.size(), false);
-  for (std::size_t i = 0; i < n; ++i) {
-    const HeapEntry& e = heap_[i];
-    HIPCLOUD_CHECK(e.slot < slots_.size(),
-                   "heap entry references a slot outside the arena");
-    HIPCLOUD_CHECK(!referenced[e.slot],
-                   "slot referenced by two heap entries");
-    referenced[e.slot] = true;
-    if (slots_[e.slot].live) {
-      ++live_in_heap;
-    } else {
-      ++dead_in_heap;
+  HIPCLOUD_CHECK(pos_.size() == slots_.size(),
+                 "position index and slot arena differ in size");
+  // Every slot is claimed at most once: by one heap entry or by the
+  // freelist. With the count check at the end this makes the two a
+  // partition of the arena, so no heap entry can be a freed (dead) slot.
+  std::vector<bool> claimed(slots_.size(), false);
+  for (const unsigned tier : {kNear, kFar}) {
+    const Heap& h = heaps_[tier];
+    for (std::size_t i = 0; i < h.size(); ++i) {
+      const HeapEntry& e = h[i];
+      HIPCLOUD_CHECK(e.slot < slots_.size(),
+                     "heap entry references a slot outside the arena");
+      HIPCLOUD_CHECK(!claimed[e.slot], "slot referenced by two heap entries");
+      claimed[e.slot] = true;
+      HIPCLOUD_CHECK(pos_[e.slot] == ((tier << kTierShift) | i),
+                     "position index does not point back to the heap entry");
+      HIPCLOUD_CHECK(static_cast<bool>(slots_[e.slot].cb),
+                     "heap entry without a callback");
+      if (i > 0) {
+        HIPCLOUD_CHECK(!earlier(e, h[(i - 1) / 2]),
+                       "heap property violated: child earlier than parent");
+      }
+      HIPCLOUD_CHECK(e.when >= now_, "pending event scheduled in the past");
+      HIPCLOUD_CHECK(tier == kFar || e.when - now_ < kNearHorizon,
+                     "near-heap entry beyond the near horizon");
     }
-    if (i > 0) {
-      const HeapEntry& parent = heap_[(i - 1) / 2];
-      HIPCLOUD_CHECK(!earlier(e, parent),
-                     "heap property violated: child earlier than parent");
-    }
-    HIPCLOUD_CHECK(e.when >= now_, "pending event scheduled in the past");
   }
-  HIPCLOUD_CHECK(live_in_heap == live_,
-                 "live-event count disagrees with heap contents");
-  HIPCLOUD_CHECK(dead_in_heap == dead_in_heap_,
-                 "tombstone count disagrees with heap contents");
   for (const std::uint32_t idx : free_slots_) {
     HIPCLOUD_CHECK(idx < slots_.size(), "freelist entry outside the arena");
-    HIPCLOUD_CHECK(!slots_[idx].live, "live slot on the freelist");
-    HIPCLOUD_CHECK(!referenced[idx],
-                   "slot simultaneously freelisted and in the heap");
+    HIPCLOUD_CHECK(!claimed[idx],
+                   "slot freelisted twice, or freelisted and in a heap");
+    claimed[idx] = true;
+    HIPCLOUD_CHECK(pos_[idx] == kFreePos,
+                   "freelisted slot still has a heap position");
+    HIPCLOUD_CHECK(!slots_[idx].cb, "freelisted slot still holds a callback");
   }
-  HIPCLOUD_CHECK(heap_.size() + free_slots_.size() == slots_.size(),
-                 "slot arena partition broken (leaked or duplicated slot)");
+  HIPCLOUD_CHECK(pending() + free_slots_.size() == slots_.size(),
+                 "slot arena partition broken (leaked slot)");
 }
 
 std::uint32_t EventLoop::alloc_slot() {
@@ -49,52 +52,82 @@ std::uint32_t EventLoop::alloc_slot() {
     return idx;
   }
   slots_.emplace_back();
+  pos_.push_back(kFreePos);
   return static_cast<std::uint32_t>(slots_.size() - 1);
 }
 
-void EventLoop::recycle_slot(std::uint32_t idx) {
-  Slot& s = slots_[idx];
-  s.cb.reset();
-  s.live = false;
-  ++s.gen;  // invalidate any outstanding handles to this slot
-  free_slots_.push_back(idx);
-}
-
 // Both sifts move the 24-byte POD entries through a hole instead of
-// swapping, so each level costs one copy rather than three.
+// swapping, so each level costs one copy (plus one 4-byte position write)
+// rather than three.
 
-void EventLoop::heap_push(HeapEntry e) {
-  std::size_t i = heap_.size();
-  heap_.push_back(e);  // grow first; the slot is overwritten below
+void EventLoop::sift_up(unsigned tier, std::size_t i, HeapEntry e) {
+  Heap& h = heaps_[tier];
+  const std::uint32_t tag = tier << kTierShift;
   while (i > 0) {
     const std::size_t parent = (i - 1) / 2;
-    if (!earlier(e, heap_[parent])) break;
-    heap_[i] = heap_[parent];
+    if (!earlier(e, h[parent])) break;
+    h[i] = h[parent];
+    pos_[h[i].slot] = tag | static_cast<std::uint32_t>(i);
     i = parent;
   }
-  heap_[i] = e;
+  h[i] = e;
+  pos_[e.slot] = tag | static_cast<std::uint32_t>(i);
 }
 
-void EventLoop::heap_pop() {
-  const HeapEntry e = heap_.back();
-  heap_.pop_back();
-  const std::size_t n = heap_.size();
-  if (n == 0) return;
-  std::size_t i = 0;
+void EventLoop::sift_down(unsigned tier, std::size_t i, HeapEntry e) {
+  Heap& h = heaps_[tier];
+  const std::uint32_t tag = tier << kTierShift;
+  const std::size_t n = h.size();
   while (true) {
     std::size_t child = 2 * i + 1;
     if (child >= n) break;
-    if (child + 1 < n && earlier(heap_[child + 1], heap_[child])) ++child;
-    if (!earlier(heap_[child], e)) break;
-    heap_[i] = heap_[child];
+    if (child + 1 < n && earlier(h[child + 1], h[child])) ++child;
+    if (!earlier(h[child], e)) break;
+    h[i] = h[child];
+    pos_[h[i].slot] = tag | static_cast<std::uint32_t>(i);
     i = child;
   }
-  heap_[i] = e;
+  h[i] = e;
+  pos_[e.slot] = tag | static_cast<std::uint32_t>(i);
 }
+
+EventLoop::Callback EventLoop::remove(unsigned tier, std::size_t i) {
+  Heap& h = heaps_[tier];
+  const std::uint32_t idx = h[i].slot;
+  // Fill the hole with the last entry, which may belong above or below it.
+  const HeapEntry last = h.back();
+  h.pop_back();
+  if (i < h.size()) {
+    if (i > 0 && earlier(last, h[(i - 1) / 2])) {
+      sift_up(tier, i, last);
+    } else {
+      sift_down(tier, i, last);
+    }
+  }
+  Slot& s = slots_[idx];
+  Callback cb = std::move(s.cb);
+  ++s.gen;  // invalidate any outstanding handles to this slot
+  pos_[idx] = kFreePos;
+  free_slots_.push_back(idx);
+  return cb;
+}
+
+unsigned EventLoop::next_tier() const {
+  const Heap& near = heaps_[kNear];
+  const Heap& far = heaps_[kFar];
+  if (near.empty()) return kFar;
+  if (far.empty()) return kNear;
+  return earlier(far.front(), near.front()) ? kFar : kNear;
+}
+
+// The public entry points take the callback by value (callers construct
+// it in place from a lambda) and hand it on by reference, so it is moved
+// exactly once, into its slot: each InlineFn move is an indirect call
+// that relocates the whole capture.
 
 EventHandle EventLoop::schedule(Duration delay, Callback cb) {
   if (delay < 0) delay = 0;
-  return schedule_at(now_ + delay, std::move(cb));
+  return schedule_with_seq(now_ + delay, next_seq_++, std::move(cb));
 }
 
 EventHandle EventLoop::schedule_at(Time when, Callback cb) {
@@ -114,14 +147,17 @@ EventHandle EventLoop::schedule_cross(Time when, std::uint32_t src_shard,
 }
 
 EventHandle EventLoop::schedule_with_seq(Time when, std::uint64_t seq,
-                                         Callback cb) {
-  if (when < now_) when = now_;
+                                         Callback&& cb) {
+  // schedule() clamps negative delays; an absolute time in the past is a
+  // caller bug, and the tier choice below reads when - now_.
+  HIPCLOUD_CHECK(when >= now_, "event scheduled in the past");
   const std::uint32_t idx = alloc_slot();
   Slot& s = slots_[idx];
   s.cb = std::move(cb);
-  s.live = true;
-  heap_push(HeapEntry{when, seq, idx});
-  ++live_;
+  const unsigned tier = when - now_ < kNearHorizon ? kNear : kFar;
+  Heap& h = heaps_[tier];
+  h.push_back(HeapEntry{when, seq, idx});  // grow; sift_up places it
+  sift_up(tier, h.size() - 1, h.back());
   ++perf_.events_scheduled;
   return EventHandle((static_cast<std::uint64_t>(s.gen) << 32) |
                      (static_cast<std::uint64_t>(idx) + 1));
@@ -132,63 +168,42 @@ bool EventLoop::cancel(EventHandle h) {
   const std::uint32_t idx =
       static_cast<std::uint32_t>(h.id_ & 0xffffffffu) - 1;
   const std::uint32_t gen = static_cast<std::uint32_t>(h.id_ >> 32);
-  if (idx >= slots_.size()) return false;
-  Slot& s = slots_[idx];
   // A fired (or already-cancelled) event has had its slot recycled and its
   // generation bumped, so stale handles fail this check in O(1).
-  if (!s.live || s.gen != gen) return false;
-  s.live = false;
-  s.cb.reset();  // release captured state eagerly, not at pop time
-  --live_;
-  ++dead_in_heap_;
+  if (idx >= slots_.size() || slots_[idx].gen != gen) return false;
+  const std::uint32_t pos = pos_[idx];
+  // The callback outlives the bookkeeping: its destructor may re-enter
+  // schedule()/cancel(), which must find the engine consistent.
+  const Callback cb = remove(pos >> kTierShift, pos & kIndexMask);
   ++perf_.events_cancelled;
   return true;
 }
 
 bool EventLoop::step(Time until) {
-  while (!heap_.empty()) {
-    const HeapEntry& top = heap_.front();
-    Slot& s = slots_[top.slot];
-    if (!s.live) {
-      // Cancelled entry reached the top: recycle its slot and move on.
-      recycle_slot(top.slot);
-      heap_pop();
-      --dead_in_heap_;
-      continue;
-    }
-    if (until >= 0 && top.when > until) return false;
-    // Capture the entry by value: heap_pop() below rewrites the root.
-    const HeapEntry entry = top;
-    HIPCLOUD_CHECK(entry.when >= now_, "event fired with regressed time");
-    // Move the callback out and retire the entry *before* invoking, so the
-    // callback can re-enter schedule()/cancel() freely.
-    Callback cb = std::move(s.cb);
-    recycle_slot(entry.slot);
-    heap_pop();
-    --live_;
-    now_ = entry.when;
-    ++perf_.events_fired;
-    perf_.note_fire(entry.when, entry.seq);
+  if (pending() == 0) return false;
+  const unsigned tier = next_tier();
+  // Capture the entry by value: remove() below rewrites the root.
+  const HeapEntry entry = heaps_[tier].front();
+  if (until >= 0 && entry.when > until) return false;
+  HIPCLOUD_CHECK(entry.when >= now_, "event fired with regressed time");
+  // Move the callback out and retire the entry *before* invoking, so the
+  // callback can re-enter schedule()/cancel() freely.
+  Callback cb = remove(tier, 0);
+  now_ = entry.when;
+  ++perf_.events_fired;
+  perf_.note_fire(entry.when, entry.seq);
 #ifdef HIPCLOUD_AUDIT_ENABLED
-    // Periodic full structural audit; every firing would make the suite
-    // O(events * pending).
-    if ((perf_.events_fired & 1023u) == 0) audit_consistency();
+  // Periodic full structural audit; every firing would make the suite
+  // O(events * pending).
+  if ((perf_.events_fired & 1023u) == 0) audit_consistency();
 #endif
-    cb();
-    return true;
-  }
-  return false;
+  cb();
+  return true;
 }
 
-Time EventLoop::next_event_time() {
-  while (!heap_.empty()) {
-    const HeapEntry& top = heap_.front();
-    if (slots_[top.slot].live) return top.when;
-    recycle_slot(top.slot);
-    heap_pop();
-    --dead_in_heap_;
-  }
-  return -1;
+Time EventLoop::next_event_time() const {
+  if (pending() == 0) return -1;
+  return heaps_[next_tier()].front().when;
 }
 
 std::size_t EventLoop::run(Time until) {

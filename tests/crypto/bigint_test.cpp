@@ -180,6 +180,29 @@ TEST(BigInt, ModExpMatchesOracleOnEdgeModuli) {
   EXPECT_EQ(BigInt(12345).mod_exp(BigInt(7), BigInt(1)), BigInt());
 }
 
+TEST(BigInt, ModExpShortExponentPathMatchesWindowPath) {
+  // Exponents of at most 32 bits take plain square-and-multiply; e + (p-1)
+  // is as wide as p and takes the 4-bit window. For prime p and a not
+  // divisible by p, Fermat makes the two powers equal.
+  HmacDrbg drbg(12, "modexp-short");
+  const BigInt primes[] = {BigInt::from_hex("ffffffffffffffc5"),  // 2^64-59
+                           dh_params(DhGroup::kModp1536).p};
+  for (const BigInt& p : primes) {
+    std::vector<BigInt> exps = {BigInt(1), BigInt(3), BigInt(65537),
+                                all_ones(32)};
+    for (int i = 0; i < 8; ++i) {
+      exps.push_back(BigInt::random_bits(drbg, 1 + (i * 5) % 32));
+    }
+    for (const BigInt& e : exps) {
+      const BigInt a = BigInt(2) + BigInt::random_below(drbg, p - BigInt(2));
+      const BigInt short_path = a.mod_exp(e, p);
+      EXPECT_EQ(short_path, a.mod_exp(e + (p - BigInt(1)), p))
+          << "p=" << p.to_hex() << " e=" << e.to_hex();
+      EXPECT_EQ(short_path, mod_exp_oracle(a, e, p)) << "e=" << e.to_hex();
+    }
+  }
+}
+
 TEST(BigInt, ModExpEvenModulus) {
   EXPECT_EQ(BigInt(3).mod_exp(BigInt(5), BigInt(100)), BigInt(43));
 }
